@@ -671,7 +671,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (BoundExceededError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (BoundExceededError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
         print(
             json.dumps(
                 {"error": {"type": type(exc).__name__, "message": str(exc)}}, sort_keys=True

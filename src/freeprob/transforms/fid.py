@@ -24,10 +24,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..partitions import BoundExceededError
-from .jacobi import JacobiFit, jacobi_from_moments
+from .jacobi import pivot_signs
 
 __all__ = [
-    "HANKEL_ORDINAL_OFFSET",
     "FidReport",
     "OdeCheckResult",
     "free_cumulants_of_mu_c",
@@ -38,14 +37,6 @@ __all__ = [
 
 MAX_EXACT_ORDER = 400
 
-# Reported Hankel ordinal = k + offset for the first nonpositive
-# H_k = det [s_{i+j}]_{i,j=0..k}.  Calibrated once against the c = 9/10
-# failure, which lands at k = 97: the published ordinal ("97th") equals the
-# k-index itself, so the offset is 0 (ordinals count [s_0] as the 0th
-# determinant).  The c = 1 failure then lands at ordinal 83 with no
-# remaining freedom, confirming the convention.
-HANKEL_ORDINAL_OFFSET = 0
-
 
 def free_cumulants_of_mu_c(c, order: int) -> list[Fraction]:
     """Exact free cumulants fc_0..fc_order of the measure with beta_k = c + k.
@@ -54,13 +45,20 @@ def free_cumulants_of_mu_c(c, order: int) -> list[Fraction]:
     (the measure is symmetric).  c = -1 gives the point mass at zero (all
     cumulants beyond fc_1 vanish).  Bound: order <= 400.
     """
-    c = Fraction(c)
+    _check_budget(order)
+    return _free_cumulants(Fraction(c), order)
+
+
+def _check_budget(order: int) -> None:
+    if order > MAX_EXACT_ORDER:
+        raise BoundExceededError(f"exact-arithmetic budget is order <= {MAX_EXACT_ORDER}")
+
+
+def _free_cumulants(c: Fraction, order: int) -> list[Fraction]:
     if c < -1:
         raise ValueError("parameter must satisfy c >= -1")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if order > MAX_EXACT_ORDER:
-        raise BoundExceededError(f"exact-arithmetic budget is order <= {MAX_EXACT_ORDER}")
     # r[j] = fc_{j+1}; even-index r vanish by symmetry, so only even m appear
     r = [Fraction(0)] * max(order, 2)
     if order >= 2:
@@ -77,8 +75,11 @@ def free_cumulants_of_mu_c(c, order: int) -> list[Fraction]:
 
 
 def shifted_sequence_of_mu_c(c, count: int) -> list[Fraction]:
-    """s_0..s_count with s_n = fc_{n+2} of the measure with beta_k = c + k."""
-    fc = free_cumulants_of_mu_c(c, count + 2)
+    """s_0..s_count with s_n = fc_{n+2} of the measure with beta_k = c + k.
+
+    Bound: count <= 400 (it needs fc up to count + 2)."""
+    _check_budget(count)
+    fc = _free_cumulants(Fraction(c), count + 2)
     return [fc[n + 2] for n in range(count + 1)]
 
 
@@ -87,9 +88,10 @@ class FidReport:
     """Outcome of the Hankel positivity scan of the shifted cumulant sequence.
 
     first_negative_index is the smallest k with H_k <= 0 where
-    H_k = det [s_{i+j}]_{i,j=0..k}; ordinal = k + HANKEL_ORDINAL_OFFSET and
-    matrix_size = k + 1.  beta_signs lists the signs of the successive
-    pivots H_k / H_{k-1}.
+    H_k = det [s_{i+j}]_{i,j=0..k}; ordinal = k and matrix_size = k + 1.
+    beta_signs lists the signs of the successive pivots H_k / H_{k-1}.
+    precision_digits is the decimal interval precision that certified those
+    signs (None when the exact Fraction scan ran or no scan was needed).
     """
 
     c: Fraction
@@ -101,10 +103,11 @@ class FidReport:
     matrix_size: Optional[int] = None
     beta_signs: list = field(default_factory=list)
     elapsed_seconds: float = 0.0
+    precision_digits: Optional[int] = None
 
     def to_json(self) -> dict:
-        # elapsed_seconds stays off the wire: emitted output must be
-        # byte-deterministic for a given configuration
+        # elapsed_seconds and precision_digits stay off the wire: emitted
+        # output must be byte-deterministic for a given configuration
         return {
             "c": f"{self.c.numerator}/{self.c.denominator}",
             "order": self.order,
@@ -120,12 +123,14 @@ class FidReport:
 def fid_test(c, order: int) -> FidReport:
     """Test positive definiteness of s_n = fc_{n+2} using s_0..s_order.
 
-    Hankel determinants H_0..H_{order//2} are scanned through the pivot
-    sequence of jacobi_from_moments; PASS means every pivot in range is
-    positive (or the sequence is identically zero, the point-mass case).
+    Hankel determinants H_0..H_{order//2} are scanned through the certified
+    pivot signs of pivot_signs; PASS means every pivot in range is positive
+    (or the sequence is identically zero, the point-mass case).
+    Bound: order <= 400.
     """
     if order < 4:
         raise ValueError("order must be at least 4")
+    _check_budget(order)
     c = Fraction(c)
     start = time.monotonic()
     s = shifted_sequence_of_mu_c(c, order)
@@ -135,28 +140,26 @@ def fid_test(c, order: int) -> FidReport:
         return FidReport(
             c, order, depth, "PASS", beta_signs=[], elapsed_seconds=time.monotonic() - start
         )
-    fit: JacobiFit = jacobi_from_moments(s, depth)
-    signs = [_sign(p) for p in fit.pivots[1:]]  # pivot 0 is s_0 itself
-    if fit.breakdown_index is None:
-        return FidReport(
-            c, order, depth, "PASS", beta_signs=signs, elapsed_seconds=time.monotonic() - start
-        )
-    k = fit.breakdown_index
+    scan = pivot_signs(s, depth)
+    signs = list(scan.signs[1:])  # pivot 0 is s_0 itself
+    k = scan.breakdown_index
+    # Calibrated once against the c = 9/10 failure, which lands at k = 97:
+    # the published ordinal ("97th") equals the k-index itself (ordinals
+    # count [s_0] as the 0th determinant).  The c = 1 failure then lands at
+    # ordinal 83 with no remaining freedom, confirming the convention.
+    ordinal = k
     return FidReport(
         c,
         order,
         depth,
-        "FAIL",
+        "PASS" if k is None else "FAIL",
         first_negative_index=k,
-        ordinal=k + HANKEL_ORDINAL_OFFSET,
-        matrix_size=k + 1,
+        ordinal=ordinal,
+        matrix_size=None if k is None else k + 1,
         beta_signs=signs,
         elapsed_seconds=time.monotonic() - start,
+        precision_digits=scan.precision,
     )
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
 
 
 @dataclass

@@ -9,12 +9,16 @@ to the point mass at 0 for c = -1.
 jacobi_from_moments is the modified-Chebyshev / quotient-difference scheme
 on the inner-product table sigma[k][l] = <P_k, x^l>; its diagonal pivots are
 ratios of consecutive Hankel determinants, so the first nonpositive pivot
-locates the first nonpositive Hankel determinant exactly.
+locates the first nonpositive Hankel determinant exactly.  pivot_signs runs
+the same recursion in outward-rounded decimal interval arithmetic when only
+the signs are wanted, and falls back to the exact scan when an interval
+cannot decide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -27,6 +31,8 @@ __all__ = [
     "mu_c_jacobi",
     "moments_from_jacobi",
     "jacobi_from_moments",
+    "PivotSigns",
+    "pivot_signs",
     "hankel_sign",
     "hankel_sign_from_pivots",
 ]
@@ -139,47 +145,151 @@ def jacobi_from_moments(moments: Sequence, depth: Optional[int] = None) -> Jacob
     beta_k = sigma[k][k]/sigma[k-1][k-1].
     Stops at the first nonpositive diagonal pivot instead of raising.
     """
-    m = [Fraction(x) for x in moments]
-    if not m:
+    return _sigma_scan([Fraction(x) for x in moments], depth, _sign)
+
+
+@dataclass(frozen=True)
+class PivotSigns:
+    """Result of pivot_signs: signs[k] is the sign of the pivot H_k / H_{k-1}
+    (signs[0] that of H_0), as far as jacobi_from_moments would compute them;
+    breakdown_index is the first k whose pivot is <= 0 (None when all are
+    positive).  precision is the interval precision in decimal digits that
+    certified every sign, or None when the exact Fraction route ran."""
+
+    signs: tuple[int, ...]
+    breakdown_index: Optional[int]
+    precision: Optional[int]
+
+
+# interval reruns at doubled precision before the exact route takes over
+_INTERVAL_DOUBLINGS = 2
+
+
+def pivot_signs(moments: Sequence, depth: int) -> PivotSigns:
+    """The pivot signs and breakdown index of jacobi_from_moments(moments,
+    depth), each sign certified, never guessed.
+
+    The moments are converted once to outward-rounded decimal intervals and
+    the same sigma-table recursion runs on them at 2 * depth + 20 digits
+    (about 6.6 bits per level).  A pivot's sign counts only when its
+    interval lies strictly on one side of 0 or is exactly [0, 0].  If some
+    pivot's interval straddles 0, the scan reruns at doubled precision, up
+    to _INTERVAL_DOUBLINGS times, and then falls back to the exact Fraction
+    scan.
+    """
+    exact = [Fraction(x) for x in moments]
+    precision = 2 * depth + 20
+    for _ in range(_INTERVAL_DOUBLINGS + 1):
+        # private round-down and round-up contexts: the thread's decimal
+        # context is never touched, and the exponent range never binds
+        ctx = tuple(
+            Context(prec=precision, rounding=rounding, Emax=MAX_EMAX, Emin=MIN_EMIN)
+            for rounding in (ROUND_FLOOR, ROUND_CEILING)
+        )
+        try:
+            fit = _sigma_scan([_Interval.exact(x, ctx) for x in exact], depth, _interval_sign)
+        except _Undecided:
+            precision *= 2
+            continue
+        return PivotSigns(tuple(map(_interval_sign, fit.pivots)), fit.breakdown_index, precision)
+    fit = jacobi_from_moments(exact, depth)
+    return PivotSigns(tuple(map(_sign, fit.pivots)), fit.breakdown_index, None)
+
+
+class _Interval:
+    """A closed interval [lo, hi] of Decimals.  Each operation rounds its
+    lower end down and its upper end up (decimal arithmetic is correctly
+    rounded), so the result contains every exact value it stands for."""
+
+    __slots__ = ("lo", "hi", "ctx")
+
+    def __init__(self, lo: Decimal, hi: Decimal, ctx: tuple[Context, Context]):
+        self.lo, self.hi, self.ctx = lo, hi, ctx
+
+    @classmethod
+    def exact(cls, x, ctx) -> "_Interval":
+        x = Fraction(x)
+        p, q = Decimal(x.numerator), Decimal(x.denominator)
+        return cls(ctx[0].divide(p, q), ctx[1].divide(p, q), ctx)
+
+    def _lift(self, other) -> "_Interval":
+        return other if isinstance(other, _Interval) else _Interval.exact(other, self.ctx)
+
+    def __sub__(self, other):
+        o, (down, up) = self._lift(other), self.ctx
+        return _Interval(down.subtract(self.lo, o.hi), up.subtract(self.hi, o.lo), self.ctx)
+
+    def __mul__(self, other):
+        o, (down, up) = self._lift(other), self.ctx
+        if self.lo >= 0 and o.lo >= 0:
+            return _Interval(down.multiply(self.lo, o.lo), up.multiply(self.hi, o.hi), self.ctx)
+        ends = [(x, y) for x in (self.lo, self.hi) for y in (o.lo, o.hi)]
+        lo = min(down.multiply(x, y) for x, y in ends)
+        hi = max(up.multiply(x, y) for x, y in ends)
+        return _Interval(lo, hi, self.ctx)
+
+    def __truediv__(self, other):
+        o, (down, up) = self._lift(other), self.ctx
+        if o.lo <= 0:
+            # the scan divides only by pivots already certified positive
+            raise ZeroDivisionError("interval divisor is not positive")
+        lo = down.divide(self.lo, o.hi if self.lo >= 0 else o.lo)
+        hi = up.divide(self.hi, o.lo if self.hi >= 0 else o.hi)
+        return _Interval(lo, hi, self.ctx)
+
+
+class _Undecided(Exception):
+    """An interval pivot contains 0 without being exactly [0, 0]."""
+
+
+def _interval_sign(x: _Interval) -> int:
+    if x.lo > 0:
+        return 1
+    if x.hi < 0:
+        return -1
+    if x.lo == 0 and x.hi == 0:
+        return 0
+    raise _Undecided
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _sigma_scan(values: list, depth: Optional[int], sign) -> JacobiFit:
+    """The sigma-table recursion of jacobi_from_moments over `values`, in
+    whatever arithmetic they carry; `sign` maps a pivot to -1, 0 or 1."""
+    if not values:
         raise ValueError("moment list is empty")
-    top = len(m) - 1
+    top = len(values) - 1
     if depth is None:
         depth = top // 2
     if 2 * depth > top:
         raise BoundExceededError(f"depth {depth} needs {2 * depth + 1} moments, have {top + 1}")
 
-    prev: list[Fraction] = list(m)  # sigma_0 row over l = 0..top
-    prev2: list[Fraction] = []
-    pivots = [m[0]]
-    alpha: list[Fraction] = []
-    beta: list[Fraction] = []
-    if m[0] <= 0:
-        return JacobiFit(alpha, beta, pivots, 0, _sign(m[0]))
+    prev = list(values)  # sigma_0 row over l = 0..top
+    prev2: list = [0] * (top + 1)  # sigma_{-1} = 0
+    pivots = [values[0]]
+    alpha: list = []
+    beta: list = []
+    if (s := sign(values[0])) <= 0:
+        return JacobiFit(alpha, beta, pivots, 0, s)
     if top >= 1:
-        alpha.append(m[1] / m[0])
+        alpha.append(values[1] / values[0])
     for k in range(1, depth + 1):
-        lo, hi = k, top - k
-        row = [Fraction(0)] * (hi + 2)
-        for l in range(lo, hi + 1):
-            value = prev[l + 1] - alpha[k - 1] * prev[l]
-            if k >= 2:
-                value -= beta[k - 2] * prev2[l]
-            row[l] = value
+        a, b = alpha[k - 1], beta[k - 2] if k >= 2 else 0
+        # entries below l = k are never read again
+        row = [None] * k + [prev[l + 1] - a * prev[l] - b * prev2[l] for l in range(k, top - k + 1)]
         pivot = row[k]
         pivots.append(pivot)
-        if pivot <= 0:
-            return JacobiFit(alpha[: len(beta)], beta, pivots, k, _sign(pivot))
+        if (s := sign(pivot)) <= 0:
+            return JacobiFit(alpha[: len(beta)], beta, pivots, k, s)
         beta.append(pivot / pivots[k - 1])
         if k <= (top - 1) // 2 and k < depth:
             alpha.append(row[k + 1] / pivot - prev[k] / pivots[k - 1])
         prev2, prev = prev, row
     # drop the seed alpha entries beyond the computed beta depth
-    alpha = alpha[: len(beta)]
-    return JacobiFit(alpha, beta, pivots, None, None)
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+    return JacobiFit(alpha[: len(beta)], beta, pivots, None, None)
 
 
 def hankel_sign(seq: Sequence, k: int) -> int:

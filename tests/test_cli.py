@@ -167,3 +167,19 @@ def test_domain_error_exit_one(capsys):
     code, _, err = run(capsys, "fid", "--c=-2", "--order", "40")
     assert code == 1
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fid", "--c", "1/0", "--order", "40"],
+        ["transform", "--c", "1/2", "--grid=-8:8:9,-4:4:9", "--op", "g"],
+    ],
+    ids=["zero-denominator", "no-route-grid"],
+)
+def test_arithmetic_error_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] and error["message"]

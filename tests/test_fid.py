@@ -7,7 +7,7 @@ from freeprob.cumulants import (
     gaussian_free_cumulants,
     gaussian_shifted_sequence,
 )
-from freeprob.partitions import count_connected_pairings
+from freeprob.partitions import BoundExceededError, count_connected_pairings
 from freeprob.transforms import (
     fid_test,
     formal_phi_ode_check,
@@ -95,6 +95,17 @@ def test_fid_failure_ordinal_decreases_in_c():
     ordered = [ordinals[c] for c in sorted(ordinals)]
     assert ordered == sorted(ordered, reverse=True)
     assert fid_test(F(1, 2), 300).verdict == "PASS"
+
+
+def test_fid_reaches_documented_order_budget():
+    report = fid_test(F(-1, 2), 400)
+    assert report.verdict == "PASS"
+    assert len(report.beta_signs) == 200
+    assert report.precision_digits is not None
+    assert len(shifted_sequence_of_mu_c(F(-1, 2), 400)) == 401
+    for call in (lambda: fid_test(F(-1, 2), 401), lambda: shifted_sequence_of_mu_c(0, 401)):
+        with pytest.raises(BoundExceededError, match="400"):
+            call()
 
 
 def test_fid_rejects_small_order():

@@ -12,6 +12,8 @@ from freeprob.transforms import (
     jacobi_from_moments,
     moments_from_jacobi,
     mu_c_jacobi,
+    pivot_signs,
+    shifted_sequence_of_mu_c,
 )
 
 
@@ -139,8 +141,6 @@ def test_hankel_sign_examples():
 
 
 def test_hankel_sign_matches_pivot_prediction():
-    from freeprob.transforms import shifted_sequence_of_mu_c
-
     sequences = [
         [F(x) for x in gaussian_shifted_sequence(24)],
         shifted_sequence_of_mu_c(F(9, 10), 24),
@@ -165,3 +165,52 @@ def test_hankel_sign_detects_negative():
 def test_hankel_bound():
     with pytest.raises(BoundExceededError):
         hankel_sign([1] * 100, 30)
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@pytest.mark.parametrize(
+    "c", [F(9, 10), F(1), F(3, 4), F(3, 2), F(2), F(3), F(0), F(-1, 2)], ids=str
+)
+def test_pivot_signs_match_exact_scan(c):
+    s = shifted_sequence_of_mu_c(c, 200)
+    fit = jacobi_from_moments(s, 100)
+    scan = pivot_signs(s, 100)
+    assert scan.signs == tuple(_sign(p) for p in fit.pivots)
+    assert scan.breakdown_index == fit.breakdown_index
+    assert scan.precision is not None
+
+
+def test_pivot_signs_exact_zero_pivot_takes_fallback():
+    # symmetric two-point measure at +-1/3: m_{2n} = 9^-n, H_2 = 0; 1/9 has no
+    # finite decimal expansion, so no interval certifies that zero and the
+    # exact scan decides it
+    m = [F(1, 9 ** (n // 2)) if n % 2 == 0 else F(0) for n in range(9)]
+    scan = pivot_signs(m, 4)
+    assert scan.breakdown_index == 2
+    assert scan.signs == (1, 1, 0)
+    assert scan.precision is None
+
+
+def test_pivot_signs_certify_exact_interval_zero():
+    # point mass at 1: the integer moments stay exact, so [0, 0] certifies H_1 = 0
+    scan = pivot_signs([F(1)] * 9, 4)
+    assert scan.breakdown_index == 1
+    assert scan.signs == (1, 0)
+    assert scan.precision is not None
+
+
+def test_pivot_signs_leave_global_precision_alone():
+    import decimal
+
+    import mpmath
+
+    def state():
+        ctx = decimal.getcontext()
+        return ctx.prec, ctx.rounding, ctx.Emax, mpmath.mp.prec, mpmath.iv.prec
+
+    before = state()
+    pivot_signs(shifted_sequence_of_mu_c(F(9, 10), 60), 30)
+    assert state() == before

@@ -227,8 +227,8 @@ def moments_via_lattice(cumulants: Sequence, flavour: str) -> list[Fraction]:
 def cumulant_via_moebius_weights(moments: Sequence, flavour: str, order: int) -> Fraction:
     """Literal Moebius-weighted inversion k_n = sum_sigma m_sigma mu(sigma, 1-hat).
 
-    Slower than cumulants_via_lattice (it evaluates the Moebius function of
-    every interval); intended as an extra cross-check at order <= 7.
+    Slower than cumulants_via_lattice (it weights every lattice partition by
+    its Moebius value); intended as an extra cross-check at order <= 7.
     """
     m = _fracs(moments)
     _require_moments(m)

@@ -19,11 +19,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .partitions import BoundExceededError
-from .trees import enumerate_trees, _vertex_paths
+from .trees import enumerate_trees, tree_size as _shape_size
 
 __all__ = [
     "LabeledTree",
@@ -155,30 +155,31 @@ def _require_ordered(t: Tree) -> None:
 
 
 def enumerate_ordered_trees(n: int) -> list:
-    """All ordered trees with n vertices; there are s_{2n} of them.  Bound: n <= 7."""
+    """All ordered trees with n vertices; there are s_{2n} of them.  Bound: n <= 7.
+
+    Order: shape by shape, then lexicographic in the preorder label tuple.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > MAX_ORDERED_ENUM:
         raise BoundExceededError(f"ordered-tree enumeration bound is n <= {MAX_ORDERED_ENUM}")
-    if n == 0:
-        return [None]
-    out = []
-    for shape in enumerate_trees(n):
-        paths = _vertex_paths(shape)
-        for perm in permutations(range(1, n + 1)):
-            assignment = dict(zip(paths, perm))
 
-            def build(node, path=()):
-                if node is None:
-                    return None
-                return LabeledTree(
-                    assignment[path], build(node.left, path + ("L",)), build(node.right, path + ("R",))
-                )
+    @lru_cache(maxsize=None)  # local to this call: subtrees recur with the same labels
+    def labelings(shape, labels: tuple[int, ...]) -> tuple:
+        # The root takes any label; the left subtree then takes the smallest
+        # of the rest and the right subtree the others.
+        if shape is None:
+            return (None,)
+        k = _shape_size(shape.left)
+        out = []
+        for i, root in enumerate(labels):
+            rest = labels[:i] + labels[i + 1 :]
+            rights = labelings(shape.right, rest[k:])
+            out.extend(LabeledTree(root, s, t) for s in labelings(shape.left, rest[:k]) for t in rights)
+        return tuple(out)
 
-            t = build(shape)
-            if is_anti_increasing(t):
-                out.append(t)
-    return out
+    labels = tuple(range(1, n + 1))
+    return [t for shape in enumerate_trees(n) for t in labelings(shape, labels)]
 
 
 def hilbert_dimension(n: int) -> int:

@@ -218,21 +218,16 @@ def _phi_pair(c, z, dps: Optional[int] = None, max_terms: int = 200_000):
     return pe, dpe, po, dpo, float(scale)
 
 
-_RHO_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=256)
 def _phi_mixture_ratio(c: Fraction, dps: Optional[int]):
     """Ratio rho with phi = phi_e + rho * phi_o the physical (decaying) branch,
     pinned by matching -phi'/(c phi) to the continued fraction at z = 10i."""
-    key = (c, dps)
-    if key not in _RHO_CACHE:
-        mp_mod = _mp(dps)
-        z0 = 10j
-        g0 = cf_eval(c, z0, tol=10.0 ** (-(_digits(dps) - 1)), dps=dps)
-        pe, dpe, po, dpo, _ = _phi_pair(c, z0, dps=dps)
-        cval = _real(c, mp_mod)
-        _RHO_CACHE[key] = -(dpe + cval * g0 * pe) / (dpo + cval * g0 * po)
-    return _RHO_CACHE[key]
+    mp_mod = _mp(dps)
+    z0 = 10j
+    g0 = cf_eval(c, z0, tol=10.0 ** (-(_digits(dps) - 1)), dps=dps)
+    pe, dpe, po, dpo, _ = _phi_pair(c, z0, dps=dps)
+    cval = _real(c, mp_mod)
+    return -(dpe + cval * g0 * pe) / (dpo + cval * g0 * po)
 
 
 @_scoped

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import freeprob
 from freeprob.cli import main
 
 
@@ -183,3 +187,21 @@ def test_arithmetic_error_exit_one(capsys, argv):
     assert out == ""
     error = json.loads(err)["error"]
     assert error["type"] and error["message"]
+
+
+def test_closed_pipe_exits_quietly():
+    # like `freeprob density ... | head -n 1`: the reader leaves after one line
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freeprob.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["density", "--c", "0", "--range=-4:4:0.001", "--format", "csv"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "freeprob", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"# config:")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == ""

@@ -1,8 +1,10 @@
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
 from freeprob.cumulants import gaussian_shifted_sequence
+from freeprob.trees import enumerate_trees
 from freeprob.hopf import (
     LabeledTree,
     antipode,
@@ -70,6 +72,30 @@ def test_hilbert_dimensions():
     assert hilbert_dimension(3) == 27
     for n in range(6):
         assert hilbert_dimension(n) == s[2 * n]
+
+
+def _ordered_trees_by_filtering(n):
+    # every labeling of every shape, kept when anti-increasing; labelings run
+    # through the permutations of 1..n assigned in preorder
+    def label(shape, labels):
+        if shape is None:
+            return None
+        left = label(shape.left, labels[1:])
+        return N(labels[0], left, label(shape.right, labels[1 + tree_size(left):]))
+
+    out = []
+    for shape in enumerate_trees(n):
+        for perm in permutations(range(1, n + 1)):
+            t = label(shape, perm)
+            if is_anti_increasing(t):
+                out.append(t)
+    return out
+
+
+def test_ordered_trees_match_filtered_labelings():
+    for n in range(1, 6):
+        assert enumerate_ordered_trees(n) == _ordered_trees_by_filtering(n)
+    assert hilbert_dimension(6) == 38232
 
 
 def test_hilbert_equals_chain_return_time_sum():

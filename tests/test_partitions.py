@@ -17,6 +17,8 @@ from freeprob.partitions import (
     refines,
     statistics,
     top_partition,
+    _is_interval,
+    _is_noncrossing,
 )
 
 ALL = LatticeKind.ALL
@@ -57,8 +59,12 @@ def test_enumeration_is_deterministic_and_duplicate_free():
 
 
 def test_enumeration_bound_errors():
-    with pytest.raises(BoundExceededError, match="14"):
-        enumerate_partitions(15, ALL)
+    with pytest.raises(BoundExceededError, match="11"):
+        enumerate_partitions(12, ALL)
+    with pytest.raises(BoundExceededError, match="13"):
+        enumerate_partitions(14, NC)
+    with pytest.raises(BoundExceededError, match="20"):
+        enumerate_partitions(21, INT)
     with pytest.raises(BoundExceededError):
         enumerate_pairings(16)
 
@@ -193,6 +199,48 @@ def test_moebius_sum_vanishes_below_top():
         moebius(ALL, s, pi) for s in enumerate_partitions(4, ALL) if refines(s, pi)
     )
     assert total == 0
+
+
+def _comparable_pairs(kind, n):
+    lattice = enumerate_partitions(n, kind)
+    return [(s, p) for p in lattice for s in lattice if refines(s, p)]
+
+
+def test_moebius_full_lattice_matches_product_formula():
+    # [sigma, pi] in the full lattice is a product of full lattices, one per
+    # block B of pi, each on the k_B sigma-blocks inside B
+    for n in range(1, 6):
+        for sigma, pi in _comparable_pairs(ALL, n):
+            expected = 1
+            for block in pi.blocks:
+                k = sum(1 for b in sigma.blocks if b[0] in block)
+                expected *= (-1) ** (k - 1) * math.factorial(k - 1)
+            assert moebius(ALL, sigma, pi) == expected
+
+
+def test_moebius_interval_lattice_is_boolean():
+    # interval partitions <-> subsets of the n-1 gaps, so mu is a sign
+    for n in range(1, 6):
+        for sigma, pi in _comparable_pairs(INT, n):
+            assert moebius(INT, sigma, pi) == (-1) ** (len(sigma.blocks) - len(pi.blocks))
+
+
+def test_moebius_noncrossing_row_sums_vanish():
+    # the fixed-sigma row identity, the dual of the column sweep's defining one
+    for n in range(1, 6):
+        lattice = enumerate_partitions(n, NC)
+        for sigma, pi in _comparable_pairs(NC, n):
+            if sigma == pi:
+                continue
+            row = [tau for tau in lattice if refines(sigma, tau) and refines(tau, pi)]
+            assert sum(moebius(NC, sigma, tau) for tau in row) == 0
+
+
+def test_direct_generation_matches_filtered_enumeration():
+    for n in range(1, 9):
+        every = enumerate_partitions(n, ALL)
+        assert enumerate_partitions(n, NC) == [p for p in every if _is_noncrossing(p)]
+        assert enumerate_partitions(n, INT) == [p for p in every if _is_interval(p)]
 
 
 def test_moebius_errors():

@@ -491,7 +491,7 @@ def _desk_checks(level: str):
     def hopf_laws():
         size = 4 if deep else 3
         return (
-            bool(hopf_mod.coassociativity_check(min(size, 3) if not deep else 3))
+            bool(hopf_mod.coassociativity_check(3))
             and bool(hopf_mod.counit_check(size))
             and bool(hopf_mod.antipode_check(size))
             and [hopf_mod.hilbert_dimension(n) for n in range(4)] == [1, 1, 4, 27]

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .partitions import BoundExceededError
-from .trees import enumerate_trees, tree_size as _shape_size
+from .trees import enumerate_trees, tree_size
 
 __all__ = [
     "LabeledTree",
@@ -62,12 +62,6 @@ class LabeledTree:
 Tree = Optional[LabeledTree]
 
 
-def tree_size(t: Tree) -> int:
-    if t is None:
-        return 0
-    return 1 + tree_size(t.left) + tree_size(t.right)
-
-
 def labels_of(t: Tree) -> frozenset:
     if t is None:
         return frozenset()
@@ -95,17 +89,7 @@ def _span(t: Tree):
 
 def is_anti_increasing(t: Tree) -> bool:
     """Labels distinct and, at every vertex, left-subtree < right-subtree labels."""
-    labels = []
-
-    def collect(node: Tree):
-        if node is None:
-            return
-        labels.append(node.label)
-        collect(node.left)
-        collect(node.right)
-
-    collect(t)
-    if len(set(labels)) != len(labels):
+    if len(labels_of(t)) != tree_size(t):
         return False
     try:
         _span(t)
@@ -170,7 +154,7 @@ def enumerate_ordered_trees(n: int) -> list:
         # of the rest and the right subtree the others.
         if shape is None:
             return (None,)
-        k = _shape_size(shape.left)
+        k = tree_size(shape.left)
         out = []
         for i, root in enumerate(labels):
             rest = labels[:i] + labels[i + 1 :]
@@ -203,13 +187,6 @@ def _prod_labeled(s: Tree, t: Tree) -> Counter:
     for w, c in _prod_labeled(s, t.left).items():
         out[LabeledTree(t.label, w, t.right)] += c
     return out
-
-
-def _canonical_combination(terms: Counter) -> dict:
-    out: Counter = Counter()
-    for term, coef in terms.items():
-        out[canonical(term)] += coef
-    return {k: v for k, v in out.items() if v}
 
 
 def lr_product(s: Tree, t: Tree) -> dict:
@@ -279,29 +256,26 @@ class CheckResult:
         return self.ok
 
 
-def _tensor3_left(t: Tree) -> Counter:
+def _coassociativity_defect(t: Tree) -> dict:
+    """(Delta x id) Delta t - (id x Delta) Delta t, nonzero triple terms only."""
     out: Counter = Counter()
     for (a, b), c in lr_coproduct(t).items():
         for (x, y), d in lr_coproduct(a).items():
             out[(x, y, b)] += c * d
-    return out
-
-
-def _tensor3_right(t: Tree) -> Counter:
-    out: Counter = Counter()
-    for (a, b), c in lr_coproduct(t).items():
         for (x, y), d in lr_coproduct(b).items():
-            out[(a, x, y)] += c * d
-    return out
+            out[(a, x, y)] -= c * d
+    return {k: v for k, v in out.items() if v}
 
 
 def coassociativity_check(max_size: int) -> CheckResult:
-    """(Delta x id) Delta = (id x Delta) Delta on all ordered trees of size <= max_size."""
+    """(Delta x id) Delta = (id x Delta) Delta on all ordered trees of size <= max_size.
+
+    The counterexample is (t, lhs - rhs) over the triples where they differ.
+    """
     for n in range(max_size + 1):
         for t in enumerate_ordered_trees(n):
-            lhs, rhs = _tensor3_left(t), _tensor3_right(t)
-            if lhs != rhs:
-                diff = {k: lhs[k] - rhs[k] for k in set(lhs) | set(rhs) if lhs[k] != rhs[k]}
+            diff = _coassociativity_defect(t)
+            if diff:
                 return CheckResult(False, (t, diff))
     return CheckResult(True)
 

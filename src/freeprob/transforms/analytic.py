@@ -271,6 +271,16 @@ def _series_overflow_safe(w, dps: Optional[int]) -> bool:
     return dps is not None or abs(w) <= 30.0
 
 
+def _series_phi(c: Fraction, w, dps: Optional[int]):
+    """(phi, phi', mix_scale) of the physical branch phi = phi_e + rho * phi_o;
+    mix_scale bounds the magnitudes summed, so it measures cancellation."""
+    pe, dpe, po, dpo, scale = _phi_pair(c, w, dps=dps)
+    rho = _phi_mixture_ratio(c, dps)
+    phi = pe + rho * po
+    dphi = dpe + rho * dpo
+    return phi, dphi, max(float(scale), float(abs(rho) * scale))
+
+
 def _series_G_value(c: Fraction, w, dps: Optional[int]):
     """(G or None, cancellation ratio) via the entire-series branch; c != -1.
 
@@ -279,13 +289,8 @@ def _series_G_value(c: Fraction, w, dps: Optional[int]):
     """
     if c == 0:
         return _gauss_G(w, dps=dps)
-    pe, dpe, po, dpo, scale = _phi_pair(c, w, dps=dps)
-    rho = _phi_mixture_ratio(c, dps)
-    phi = pe + rho * po
-    dphi = dpe + rho * dpo
-    mp_mod = _mp(dps)
-    cval = _real(c, mp_mod)
-    mix_scale = max(float(scale), float(abs(rho) * scale))
+    phi, dphi, mix_scale = _series_phi(c, w, dps)
+    cval = _real(c, _mp(dps))
     if abs(phi) == 0:
         return None, math.inf
     cancel = mix_scale / float(abs(phi))
@@ -301,6 +306,13 @@ _SERIES_FLOOR_DIGITS = 10.0
 
 def _cf_applies(w) -> bool:
     return _im(w) >= CF_MIN_IM or abs(w) >= 40
+
+
+def _series_trusted(cancel: float, w, dps: Optional[int]) -> bool:
+    """Whether a series value with this cancellation ratio may be returned."""
+    prefer = 10.0 ** (_digits(dps) - _SERIES_PREF_DIGITS)
+    floor = 10.0 ** (_digits(dps) - _SERIES_FLOOR_DIGITS)
+    return cancel <= prefer or (cancel <= floor and not _cf_applies(w))
 
 
 @_scoped
@@ -320,11 +332,9 @@ def G_eval(c, z, dps: Optional[int] = None):
     w = _lift(z, mp_mod)
     if c == -1:
         return 1 / w
-    prefer = 10.0 ** (_digits(dps) - _SERIES_PREF_DIGITS)
-    floor = 10.0 ** (_digits(dps) - _SERIES_FLOOR_DIGITS)
     if _series_overflow_safe(w, dps):
         value, cancel = _series_G_value(c, w, dps)
-        if cancel <= prefer or (cancel <= floor and not _cf_applies(w)):
+        if _series_trusted(cancel, w, dps):
             # for c != 0 the series branch is singular only at zeros of phi,
             # so a huge trustworthy value means a genuine pole (c = 0 has
             # none: its continuation merely grows below the axis)
@@ -351,20 +361,11 @@ def F_eval(c, z, dps: Optional[int] = None):
     if c == -1:
         return w
     if c != 0 and _series_overflow_safe(w, dps):
-        pe, dpe, po, dpo, scale = _phi_pair(c, w, dps=dps)
-        rho = _phi_mixture_ratio(c, dps)
-        phi = pe + rho * po
-        dphi = dpe + rho * dpo
-        cval = _real(c, mp_mod)
-        mix_scale = max(float(scale), float(abs(rho) * scale))
-        prefer = 10.0 ** (_digits(dps) - _SERIES_PREF_DIGITS)
-        floor = 10.0 ** (_digits(dps) - _SERIES_FLOOR_DIGITS)
-        if abs(dphi) > 0:
-            cancel = mix_scale / float(abs(dphi))
-            if cancel <= prefer or (cancel <= floor and not _cf_applies(w)):
-                if abs(phi) == 0:
-                    return 0 * w
-                return -cval * phi / dphi
+        phi, dphi, mix_scale = _series_phi(c, w, dps)
+        if abs(dphi) > 0 and _series_trusted(mix_scale / float(abs(dphi)), w, dps):
+            if abs(phi) == 0:
+                return 0 * w
+            return -_real(c, mp_mod) * phi / dphi
     return 1 / G_eval(c, w, dps=dps)
 
 

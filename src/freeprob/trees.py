@@ -37,7 +37,6 @@ __all__ = [
 
 MAX_TREE_ENUM = 12
 MAX_DYCK_ENUM = 8
-MAX_LABELING_SIZE = 8
 
 
 class DyckParseError(ValueError):
@@ -50,8 +49,9 @@ class BinaryTree:
     right: "BinaryTree | None" = None
 
 
-@lru_cache(maxsize=None)
-def tree_size(t: BinaryTree | None) -> int:
+def tree_size(t) -> int:
+    """Vertex count of a tree; any node with .left and .right will do, so
+    hopf's labeled trees share it."""
     if t is None:
         return 0
     return 1 + tree_size(t.left) + tree_size(t.right)
@@ -108,55 +108,16 @@ def _vertex_paths(t: BinaryTree | None, prefix: tuple = ()) -> list:
     return out
 
 
-def _label_bounds_ok(t, labels: dict) -> bool:
-    """Anti-increasing test: at every vertex, left-subtree labels < right-subtree labels."""
-
-    def span(node, path):
-        # returns (min, max) over the subtree labels, or None for empty
-        if node is None:
-            return None
-        lo = hi = labels[path]
-        left = span(node.left, path + ("L",))
-        right = span(node.right, path + ("R",))
-        for sub in (left, right):
-            if sub is not None:
-                lo = min(lo, sub[0])
-                hi = max(hi, sub[1])
-        if left is not None and right is not None and not left[1] < right[0]:
-            raise _NotAntiIncreasing
-        return lo, hi
-
-    try:
-        span(t, ())
-        return True
-    except _NotAntiIncreasing:
-        return False
-
-
-class _NotAntiIncreasing(Exception):
-    pass
-
-
 def count_anti_increasing_labelings(t: BinaryTree | None) -> int:
     """Number of bijective labelings by {1..n} with, at every vertex, all left
     subtree labels strictly smaller than all right subtree labels.
 
-    Brute force over permutations; equals tree_factorial(t).  Bound: size <= 8.
+    The root takes any of the n labels; the left subtree must then take the
+    l smallest of the rest and the right subtree the others, each labeled
+    anti-increasingly in turn.  So the count is n * l! * r! with l! and r!
+    the counts of the subtrees: the tree factorial t!.
     """
-    from itertools import permutations
-
-    n = tree_size(t)
-    if n == 0:
-        return 1
-    if n > MAX_LABELING_SIZE:
-        raise BoundExceededError(f"labeling enumeration bound is size <= {MAX_LABELING_SIZE}")
-    paths = _vertex_paths(t)
-    count = 0
-    for perm in permutations(range(1, n + 1)):
-        labels = dict(zip(paths, perm))
-        if _label_bounds_ok(t, labels):
-            count += 1
-    return count
+    return tree_factorial(t)
 
 
 # ---------------------------------------------------------------- Dyck words

@@ -4,8 +4,10 @@ from itertools import permutations
 import pytest
 
 from freeprob.cumulants import gaussian_shifted_sequence
-from freeprob.trees import enumerate_trees
+from freeprob import hopf
+from freeprob.trees import count_anti_increasing_labelings, enumerate_trees
 from freeprob.hopf import (
+    CheckResult,
     LabeledTree,
     antipode,
     antipode_check,
@@ -74,8 +76,8 @@ def test_hilbert_dimensions():
         assert hilbert_dimension(n) == s[2 * n]
 
 
-def _ordered_trees_by_filtering(n):
-    # every labeling of every shape, kept when anti-increasing; labelings run
+def _labelings_by_filtering(shape):
+    # every labeling of the shape, kept when anti-increasing; labelings run
     # through the permutations of 1..n assigned in preorder
     def label(shape, labels):
         if shape is None:
@@ -84,18 +86,26 @@ def _ordered_trees_by_filtering(n):
         return N(labels[0], left, label(shape.right, labels[1 + tree_size(left):]))
 
     out = []
-    for shape in enumerate_trees(n):
-        for perm in permutations(range(1, n + 1)):
-            t = label(shape, perm)
-            if is_anti_increasing(t):
-                out.append(t)
+    for perm in permutations(range(1, tree_size(shape) + 1)):
+        t = label(shape, perm)
+        if is_anti_increasing(t):
+            out.append(t)
     return out
 
 
 def test_ordered_trees_match_filtered_labelings():
     for n in range(1, 6):
-        assert enumerate_ordered_trees(n) == _ordered_trees_by_filtering(n)
+        filtered = [t for shape in enumerate_trees(n) for t in _labelings_by_filtering(shape)]
+        assert enumerate_ordered_trees(n) == filtered
     assert hilbert_dimension(6) == 38232
+
+
+def test_labeling_count_matches_brute_force():
+    # count_anti_increasing_labelings is the tree factorial; the brute force
+    # over all n! labelings is the independent oracle
+    for n in range(0, 7):
+        for shape in enumerate_trees(n):
+            assert count_anti_increasing_labelings(shape) == len(_labelings_by_filtering(shape))
 
 
 def test_hilbert_equals_chain_return_time_sum():
@@ -234,6 +244,23 @@ def test_coassociativity_counit_antipode_laws():
 
 def test_coassociativity_size4():
     assert coassociativity_check(4)
+
+
+def test_coassociativity_reports_defect(monkeypatch):
+    # drop V1 x E from Delta(V1): sizes 0 and 1 still pass, and at the first
+    # two-vertex tree t, with Delta t = E x t + V1 x V1 + t x E,
+    # (Delta x id) Delta t - (id x Delta) Delta t = V1 x V1 x E - V1 x E x V1
+    true_coproduct = hopf.lr_coproduct
+
+    def dropped(t):
+        terms = true_coproduct(t)
+        if t == V1:
+            del terms[(V1, E)]
+        return terms
+
+    monkeypatch.setattr(hopf, "lr_coproduct", dropped)
+    t = N(1, None, N(2))
+    assert coassociativity_check(2) == CheckResult(False, (t, {(V1, V1, E): 1, (V1, E, V1): -1}))
 
 
 def test_counit_projection():

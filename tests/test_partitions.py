@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from freeprob import partitions
 from freeprob.partitions import (
     BoundExceededError,
     LatticeKind,
@@ -67,6 +68,20 @@ def test_enumeration_bound_errors():
         enumerate_partitions(21, INT)
     with pytest.raises(BoundExceededError):
         enumerate_pairings(16)
+    with pytest.raises(BoundExceededError, match="14"):
+        count_connected_pairings(16)
+
+
+def test_moebius_bound_errors(monkeypatch):
+    # the bound is checked before any lattice is enumerated
+    def no_lattice(kind, n):
+        raise AssertionError("lattice enumerated past the Moebius bound")
+
+    monkeypatch.setattr(partitions, "_lattice", no_lattice)
+    for kind, bound in ((ALL, 8), (NC, 9), (INT, 13)):
+        n = bound + 1
+        with pytest.raises(BoundExceededError, match=f"n <= {bound}"):
+            moebius(kind, bottom_partition(n), top_partition(n))
 
 
 def test_canonical_form():

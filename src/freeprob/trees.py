@@ -10,9 +10,7 @@ transports along alpha to (u U v D)! = n * u! * v!.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .partitions import BoundExceededError
 
@@ -57,18 +55,6 @@ def tree_size(t) -> int:
     return 1 + tree_size(t.left) + tree_size(t.right)
 
 
-@lru_cache(maxsize=None)
-def _trees(n: int) -> tuple:
-    if n == 0:
-        return (None,)
-    out = []
-    for k in range(n):
-        for left in _trees(k):
-            for right in _trees(n - 1 - k):
-                out.append(BinaryTree(left, right))
-    return tuple(out)
-
-
 def enumerate_trees(n: int) -> list:
     """All planar rooted binary trees with n vertices (Catalan(n) of them).
 
@@ -79,15 +65,29 @@ def enumerate_trees(n: int) -> list:
         raise ValueError("n must be nonnegative")
     if n > MAX_TREE_ENUM:
         raise BoundExceededError(f"tree enumeration bound is n <= {MAX_TREE_ENUM}")
-    return list(_trees(n))
+    table: list[list] = [[None]]  # table[size]: the trees with that many vertices
+    for size in range(1, n + 1):
+        table.append([
+            BinaryTree(left, right)
+            for k in range(size)
+            for left in table[k]
+            for right in table[size - 1 - k]
+        ])
+    return table[n]
 
 
-@lru_cache(maxsize=None)
+def _size_and_factorial(t: BinaryTree | None) -> tuple[int, int]:
+    if t is None:
+        return 0, 1
+    left_size, left_fact = _size_and_factorial(t.left)
+    right_size, right_fact = _size_and_factorial(t.right)
+    n = left_size + right_size + 1
+    return n, n * left_fact * right_fact
+
+
 def tree_factorial(t: BinaryTree | None) -> int:
     """Tree factorial: empty! = 1 and t! = n * left! * right! for n vertices."""
-    if t is None:
-        return 1
-    return tree_size(t) * tree_factorial(t.left) * tree_factorial(t.right)
+    return _size_and_factorial(t)[1]
 
 
 def s_via_trees(n: int) -> int:
@@ -172,7 +172,6 @@ def _dyck_to_tree(word: str) -> BinaryTree | None:
     return BinaryTree(_dyck_to_tree(u), _dyck_to_tree(v))
 
 
-@lru_cache(maxsize=None)
 def dyck_factorial(word: str) -> int:
     """Factorial on Dyck words: 1 for the empty word, (uUvD)! = n * u! * v!."""
     if not word:
@@ -181,8 +180,12 @@ def dyck_factorial(word: str) -> int:
     return (len(word) // 2) * dyck_factorial(u) * dyck_factorial(v)
 
 
-@lru_cache(maxsize=None)
-def _dyck_words(n: int) -> tuple[str, ...]:
+def enumerate_dyck_words(n: int) -> list[str]:
+    """Dyck words of length 2n in lexicographic order with U < D.  Bound: n <= 8."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > MAX_DYCK_ENUM:
+        raise BoundExceededError(f"Dyck enumeration bound is n <= {MAX_DYCK_ENUM}")
     out: list[str] = []
 
     def rec(prefix: list, opens: int, depth: int):
@@ -200,53 +203,45 @@ def _dyck_words(n: int) -> tuple[str, ...]:
             prefix.pop()
 
     rec([], n, 0)
-    return tuple(out)
-
-
-def enumerate_dyck_words(n: int) -> list[str]:
-    """Dyck words of length 2n in lexicographic order with U < D.  Bound: n <= 8."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > MAX_DYCK_ENUM:
-        raise BoundExceededError(f"Dyck enumeration bound is n <= {MAX_DYCK_ENUM}")
-    return list(_dyck_words(n))
+    return out
 
 
 # ------------------------------------------------------- mu / nu / owedge
 
 
 def owedge(left_word: str, right_word: str) -> str:
-    """uUvD owedge w = uUvwD: splice w in front of the last downstep's closer."""
+    """uUvD owedge w = uUvwD: splice w in front of the final D, which closes
+    the opener of the last factor."""
     if not left_word:
         raise ValueError("owedge is undefined for an empty left operand")
-    u, v = split_last_factor(left_word)
-    return u + "U" + v + right_word + "D"
+    return left_word[:-1] + right_word + "D"
 
 
-@lru_cache(maxsize=None)
-def _nu(word: str) -> tuple[tuple[str, int], ...]:
+def _nu(word: str) -> dict[str, int]:
+    acc: dict[str, int] = {}
     if not word:
-        return ()
+        return acc
     u, v = split_last_factor(word)
-    acc: Counter = Counter()
-    for term, coef in _nu(u):
-        acc[owedge(term, "U" + v + "D")] += coef
-    for term, coef in _mu(v):
-        acc[term + "U" + u + "D"] += coef
-    return tuple(sorted(acc.items()))
+    right = "U" + v + "D"
+    for term, coef in _nu(u).items():
+        key = owedge(term, right)
+        acc[key] = acc.get(key, 0) + coef
+    for term, coef in _mu(v).items():
+        key = term + "U" + u + "D"
+        acc[key] = acc.get(key, 0) + coef
+    return acc
 
 
-@lru_cache(maxsize=None)
-def _mu(word: str) -> tuple[tuple[str, int], ...]:
-    acc = Counter(dict(_nu(word)))
-    acc[word] += 1
-    return tuple(sorted(acc.items()))
+def _mu(word: str) -> dict[str, int]:
+    acc = _nu(word)
+    acc[word] = acc.get(word, 0) + 1
+    return acc
 
 
 def nu_operator(word: str) -> dict[str, int]:
     """nu(empty) = 0 and nu(uUvD) = nu(u) owedge (UvD) + mu(v) UuD."""
     _require_dyck(word)
-    return dict(_nu(word))
+    return dict(sorted(_nu(word).items()))
 
 
 def mu_operator(word: str) -> dict[str, int]:
@@ -255,7 +250,7 @@ def mu_operator(word: str) -> dict[str, int]:
     All output words have the same length as the input.
     """
     _require_dyck(word)
-    return dict(_mu(word))
+    return dict(sorted(_mu(word).items()))
 
 
 def nt_adjacency(n: int) -> tuple[list[str], list[list[int]]]:

@@ -7,6 +7,7 @@ import pytest
 
 import freeprob
 from freeprob.cli import main
+from freeprob.cumulants import MAX_FREE_SERIES_ORDER
 
 
 def run(capsys, *argv):
@@ -165,6 +166,25 @@ def test_bound_error_exit_one(capsys):
     assert out == ""
     error = json.loads(err)
     assert error["error"]["type"] == "BoundExceededError"
+
+
+@pytest.mark.parametrize("direction", ["from-moments", "to-moments"])
+def test_free_series_bound_exit_one(capsys, direction):
+    seq = ",".join(["1"] + ["0"] * (MAX_FREE_SERIES_ORDER + 1))
+    code, out, err = run(capsys, "cumulants", "--kind", "free", "--direction", direction, "--seq", seq)
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "BoundExceededError"
+    assert str(MAX_FREE_SERIES_ORDER) in error["message"]
+
+
+@pytest.mark.parametrize("kind", ["classical", "free", "boolean"])
+def test_empty_cumulant_sequence_exit_one(capsys, kind):
+    code, out, err = run(capsys, "cumulants", "--kind", kind, "--direction", "to-moments", "--seq", ",")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ValueError"
 
 
 def test_domain_error_exit_one(capsys):

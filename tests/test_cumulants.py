@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from freeprob.cumulants import (
+    MAX_FREE_SERIES_ORDER,
+    MAX_RIORDAN_ORDER,
     WeightKind,
     WeightSpec,
     boolean_convolve,
@@ -25,7 +27,7 @@ from freeprob.cumulants import (
     nc_innerpoint_sum,
     weighted_pairing_moment,
 )
-from freeprob.partitions import classify, enumerate_partitions, LatticeKind
+from freeprob.partitions import BoundExceededError, classify, enumerate_partitions, LatticeKind
 
 GAUSS_MOMENTS = [1, 0, 1, 0, 3, 0, 15, 0, 105, 0, 945]
 
@@ -118,6 +120,32 @@ def test_boolean_delta_zero():
 def test_boolean_round_trip():
     m = [F(1), F(-1, 3), F(2), F(5), F(1, 7)]
     assert moments_from_boolean(boolean_from_moments(m)) == m
+
+
+# ------------------------------------------------- series input checks
+
+
+@pytest.mark.parametrize(
+    "convert",
+    [
+        classical_from_moments,
+        moments_from_classical,
+        free_from_moments,
+        moments_from_free,
+        boolean_from_moments,
+        moments_from_boolean,
+    ],
+)
+def test_series_reject_empty_sequence(convert):
+    with pytest.raises(ValueError):
+        convert([])
+
+
+@pytest.mark.parametrize("convert", [free_from_moments, moments_from_free])
+def test_free_series_bound(convert):
+    seq = [F(1)] + [F(0)] * (MAX_FREE_SERIES_ORDER + 1)
+    with pytest.raises(BoundExceededError, match=str(MAX_FREE_SERIES_ORDER)):
+        convert(seq)
 
 
 # ------------------------------------------------- lattice oracle equivalence
@@ -218,6 +246,21 @@ def test_boolean_from_classical_irreducible_sum():
         assert total == bc[n]
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cumulant_via_moebius_weights([1, 0, 1], "free", 4),
+        lambda: cumulant_via_moebius_weights([1, 0, 1], "free", 0),
+        lambda: free_from_classical([0, 0, 1], 4),
+        lambda: boolean_from_free([0, 0, 1], 4),
+    ],
+    ids=["moebius-beyond-sequence", "moebius-order-0", "connected-beyond", "irreducible-beyond"],
+)
+def test_lattice_sums_check_order(call):
+    with pytest.raises(ValueError, match="order must be between 1 and 2"):
+        call()
+
+
 # ------------------------------------------------- Gaussian specialisations
 
 
@@ -227,6 +270,15 @@ def test_gaussian_free_cumulants_values():
     assert all(fc[k] == 0 for k in range(1, 12, 2))
     s = gaussian_shifted_sequence(6)
     assert s[0] == 1 and s[2] == 1 and s[4] == 4 and s[6] == 27
+
+
+def test_shifted_sequence_riordan_forms_agree():
+    # s_{2n} = n sum_i s_{2i} s_{2(n-i-1)} (the library form) equals
+    # sum_i (2i+1) s_{2i} s_{2(n-i-1)}: pairing term i with term n-1-i
+    s = gaussian_shifted_sequence(MAX_RIORDAN_ORDER)
+    for two_n in range(2, MAX_RIORDAN_ORDER + 1, 2):
+        n = two_n // 2
+        assert s[two_n] == sum((2 * i + 1) * s[2 * i] * s[two_n - 2 - 2 * i] for i in range(n))
 
 
 def test_gaussian_free_cumulants_match_moment_route():

@@ -351,9 +351,9 @@ def nc_innerpoint_sum(two_n: int) -> int:
         raise ValueError("two_n must be even")
     total = 0
     for p in enumerate_pairings(two_n):
-        if not classify(p).noncrossing:
-            continue
         stats = statistics(p)
+        if stats.cr:
+            continue
         prod = 1
         for block in p.blocks:
             prod *= stats.ip[block] + 1

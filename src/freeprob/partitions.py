@@ -13,7 +13,6 @@ equivalent to "no proper subinterval of {1..n} is a union of blocks".
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -40,10 +39,10 @@ __all__ = [
 
 # Enumeration cutoffs; larger requests raise BoundExceededError naming the bound.
 # Each is the largest n whose enumeration fits in about 30 s and 1.5 GB
-# (about 20 us and 0.5-0.9 KB per Partition on a 2-core machine).
+# (about 13-18 us and 0.5-0.9 KB per Partition on a 2-core machine).
 MAX_ENUM_ALL = 11
 MAX_ENUM_NONCROSSING = 13
-MAX_ENUM_INTERVAL = 20
+MAX_ENUM_INTERVAL = 21
 MAX_ENUM_PAIRING = 14
 
 # Moebius cutoffs: one column mu(., top) costs time quadratic in the lattice
@@ -97,11 +96,13 @@ class Partition:
     def of(cls, n: int, blocks: Iterable[Iterable[int]]) -> "Partition":
         return cls(n, tuple(tuple(b) for b in blocks))
 
-    def block_of(self, x: int) -> tuple[int, ...]:
-        for block in self.blocks:
-            if x in block:
-                return block
-        raise KeyError(x)
+    @classmethod
+    def _canonical(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "Partition":
+        """Trusted constructor for blocks already in canonical order: no re-sort, no check."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "blocks", blocks)
+        return p
 
     def block_index(self) -> dict[int, int]:
         """Map element -> index of its block in canonical order."""
@@ -170,18 +171,19 @@ def _rgs_iter(n: int, kind: LatticeKind = LatticeKind.ALL):
 
 
 def _partition_from_rgs(rgs: tuple[int, ...]) -> Partition:
-    nblocks = max(rgs) + 1
-    blocks: list[list[int]] = [[] for _ in range(nblocks)]
-    for i, b in enumerate(rgs):
-        blocks[b].append(i + 1)
-    return Partition.of(len(rgs), blocks)
+    # Elements join blocks in increasing order and blocks open in order of
+    # their least element, so the blocks come out canonical.
+    blocks: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
+    for x, b in enumerate(rgs, 1):
+        blocks[b].append(x)
+    return Partition._canonical(len(rgs), tuple(map(tuple, blocks)))
 
 
 def enumerate_partitions(n: int, kind: LatticeKind = LatticeKind.ALL) -> list[Partition]:
     """All partitions of {1..n} of the given kind, in a fixed deterministic order.
 
     The order is lexicographic in the restricted-growth string of the
-    partition.  Bounds: n <= 11 (ALL), n <= 13 (NONCROSSING), n <= 20
+    partition.  Bounds: n <= 11 (ALL), n <= 13 (NONCROSSING), n <= 21
     (INTERVAL).
     """
     if n < 1:
@@ -211,9 +213,10 @@ def enumerate_pairings(n: int) -> list[Partition]:
     out: list[Partition] = []
     pairs: list[tuple[int, int]] = []
 
+    # Each pair opens at the least remaining element: the pairs come out canonical.
     def rec(remaining: tuple[int, ...]):
         if not remaining:
-            out.append(Partition.of(n, list(pairs)))
+            out.append(Partition._canonical(n, tuple(pairs)))
             return
         first = remaining[0]
         for j in range(1, len(remaining)):
@@ -225,30 +228,34 @@ def enumerate_pairings(n: int) -> list[Partition]:
     return out
 
 
-def _blocks_cross(b1: tuple[int, ...], b2: tuple[int, ...]) -> bool:
-    """True iff the two blocks interleave as a<b<c<d with a,c in one, b,d in the other."""
+def _crossings(b1: tuple[int, ...], b2: tuple[int, ...]) -> int:
+    """Number of quadruples a<b<c<d with a,c in one block and b,d in the other.
+
+    One merged pass over the two sorted blocks counts the patterns XYXY and
+    YXYX by their prefixes: x, xy, xyx for b1 leading, y, yx, yxy for b2.
+    """
     if b1[-1] < b2[0] or b2[-1] < b1[0]:
-        return False
-    # Merge and count tag alternations; crossing <=> at least 4 runs.
-    i = j = runs = 0
-    last = None
+        return 0
+    total = x = y = xy = yx = xyx = yxy = i = j = 0
     while i < len(b1) or j < len(b2):
-        if j >= len(b2) or (i < len(b1) and b1[i] < b2[j]):
-            tag = 0
+        if j == len(b2) or (i < len(b1) and b1[i] < b2[j]):
+            total += yxy
+            xyx += xy
+            yx += y
+            x += 1
             i += 1
         else:
-            tag = 1
+            total += xyx
+            yxy += yx
+            xy += x
+            y += 1
             j += 1
-        if tag != last:
-            runs += 1
-            last = tag
-            if runs >= 4:
-                return True
-    return False
+    return total
 
 
-def _components(p: Partition) -> list[list[int]]:
-    """Connected components of the crossing graph, as lists of block indices."""
+def _components(p: Partition) -> tuple[list[list[int]], int]:
+    """Components of the crossing graph, as sorted lists of block indices,
+    and the total crossing count; p is noncrossing iff that count is 0."""
     k = len(p.blocks)
     parent = list(range(k))
 
@@ -258,37 +265,17 @@ def _components(p: Partition) -> list[list[int]]:
             x = parent[x]
         return x
 
+    total = 0
     for i in range(k):
         for j in range(i + 1, k):
-            if _blocks_cross(p.blocks[i], p.blocks[j]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+            cr = _crossings(p.blocks[i], p.blocks[j])
+            if cr:
+                total += cr
+                parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(k):
         groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values())
-
-
-def _is_noncrossing(p: Partition) -> bool:
-    """Stack-based noncrossing test (independent of the crossing-graph machinery)."""
-    owner = p.block_index()
-    stack: list[int] = []
-    maxima = {b[-1]: i for i, b in enumerate(p.blocks)}
-    minima = {b[0]: i for i, b in enumerate(p.blocks)}
-    for x in range(1, p.n + 1):
-        b = owner[x]
-        if stack and stack[-1] == b:
-            if x == p.blocks[b][-1]:
-                stack.pop()
-            continue
-        if minima.get(x) == b:
-            if maxima.get(x) == b:
-                continue  # singleton block
-            stack.append(b)
-            continue
-        return False
-    return True
+    return sorted(groups.values()), total
 
 
 def _is_interval(p: Partition) -> bool:
@@ -304,18 +291,12 @@ def classify(p: Partition) -> PartitionFlags:
     block is an integer interval.  connected => irreducible and
     interval => noncrossing.
     """
-    comps = _components(p)
-    owner = p.block_index()
-    comp_of_block: dict[int, int] = {}
-    for ci, comp in enumerate(comps):
-        for b in comp:
-            comp_of_block[b] = ci
-    connected = len(comps) == 1
-    irreducible = comp_of_block[owner[1]] == comp_of_block[owner[p.n]]
+    comps, cr = _components(p)
+    last = next(i for i, b in enumerate(p.blocks) if b[-1] == p.n)
     return PartitionFlags(
-        connected=connected,
-        irreducible=irreducible,
-        noncrossing=_is_noncrossing(p),
+        connected=len(comps) == 1,
+        irreducible=last in comps[0],  # comps[0] holds block 0, the block of 1
+        noncrossing=cr == 0,
         interval=_is_interval(p),
     )
 
@@ -329,16 +310,9 @@ def statistics(p: Partition) -> PartitionStats:
     of inner points (elements strictly between the block minimum and maximum
     that do not belong to the block).
     """
-    comps = _components(p)
-    owner = p.block_index()
-    cr = 0
-    for a, b, c, d in itertools.combinations(range(1, p.n + 1), 4):
-        if owner[a] == owner[c] and owner[b] == owner[d] and owner[a] != owner[b]:
-            cr += 1
+    comps, cr = _components(p)
     h = sum(1 for comp in comps if len(comp) == 1 and len(p.blocks[comp[0]]) == 2)
-    ip: dict[tuple[int, ...], int] = {}
-    for block in p.blocks:
-        ip[block] = sum(1 for x in range(block[0] + 1, block[-1]) if x not in block)
+    ip = {block: block[-1] - block[0] + 1 - len(block) for block in p.blocks}
     return PartitionStats(cc=len(comps), cr=cr, h=h, ip=ip)
 
 
@@ -355,26 +329,19 @@ def count_connected_pairings(two_n: int) -> int:
         return 0
     if two_n > MAX_ENUM_PAIRING:
         raise BoundExceededError(f"connected-pairing count bound is two_n <= {MAX_ENUM_PAIRING}")
-    return sum(1 for p in enumerate_pairings(two_n) if len(_components(p)) == 1)
+    return sum(1 for p in enumerate_pairings(two_n) if len(_components(p)[0]) == 1)
 
 
 def refines(sigma: Partition, pi: Partition) -> bool:
     """True iff every block of sigma is contained in a block of pi."""
-    if sigma.n != pi.n:
-        return False
-    owner = pi.block_index()
-    for block in sigma.blocks:
-        target = owner[block[0]]
-        if any(owner[x] != target for x in block[1:]):
-            return False
-    return True
+    return sigma.n == pi.n and _below(_masks(sigma)[0], _masks(pi)[1])
 
 
 def _member(kind: LatticeKind, p: Partition) -> bool:
     if kind is LatticeKind.ALL:
         return True
     if kind is LatticeKind.NONCROSSING:
-        return _is_noncrossing(p)
+        return _components(p)[1] == 0
     return _is_interval(p)
 
 

@@ -174,10 +174,15 @@ def _dyck_to_tree(word: str) -> BinaryTree | None:
 
 def dyck_factorial(word: str) -> int:
     """Factorial on Dyck words: 1 for the empty word, (uUvD)! = n * u! * v!."""
+    _require_dyck(word)
+    return _dyck_factorial(word)
+
+
+def _dyck_factorial(word: str) -> int:
     if not word:
         return 1
     u, v = split_last_factor(word)
-    return (len(word) // 2) * dyck_factorial(u) * dyck_factorial(v)
+    return (len(word) // 2) * _dyck_factorial(u) * _dyck_factorial(v)
 
 
 def enumerate_dyck_words(n: int) -> list[str]:
@@ -212,6 +217,8 @@ def enumerate_dyck_words(n: int) -> list[str]:
 def owedge(left_word: str, right_word: str) -> str:
     """uUvD owedge w = uUvwD: splice w in front of the final D, which closes
     the opener of the last factor."""
+    _require_dyck(left_word)
+    _require_dyck(right_word)
     if not left_word:
         raise ValueError("owedge is undefined for an empty left operand")
     return left_word[:-1] + right_word + "D"
@@ -224,7 +231,7 @@ def _nu(word: str) -> dict[str, int]:
     u, v = split_last_factor(word)
     right = "U" + v + "D"
     for term, coef in _nu(u).items():
-        key = owedge(term, right)
+        key = term[:-1] + right + "D"  # term owedge right, both Dyck words already
         acc[key] = acc.get(key, 0) + coef
     for term, coef in _mu(v).items():
         key = term + "U" + u + "D"

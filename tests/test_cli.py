@@ -187,6 +187,15 @@ def test_empty_cumulant_sequence_exit_one(capsys, kind):
     assert json.loads(err)["error"]["type"] == "ValueError"
 
 
+def test_dyck_factorial_non_dyck_word_exit_one(capsys):
+    code, out, err = run(capsys, "dyck", "factorial", "--word", "DUUD")
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DyckParseError"
+    assert "DUUD" in error["message"]
+
+
 def test_domain_error_exit_one(capsys):
     code, _, err = run(capsys, "fid", "--c=-2", "--order", "40")
     assert code == 1

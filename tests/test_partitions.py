@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -19,7 +20,6 @@ from freeprob.partitions import (
     statistics,
     top_partition,
     _is_interval,
-    _is_noncrossing,
 )
 
 ALL = LatticeKind.ALL
@@ -64,8 +64,8 @@ def test_enumeration_bound_errors():
         enumerate_partitions(12, ALL)
     with pytest.raises(BoundExceededError, match="13"):
         enumerate_partitions(14, NC)
-    with pytest.raises(BoundExceededError, match="20"):
-        enumerate_partitions(21, INT)
+    with pytest.raises(BoundExceededError, match="21"):
+        enumerate_partitions(22, INT)
     with pytest.raises(BoundExceededError):
         enumerate_pairings(16)
     with pytest.raises(BoundExceededError, match="14"):
@@ -163,11 +163,61 @@ def test_connected_implies_irreducible():
                 assert f.noncrossing
 
 
+def _noncrossing_by_stack(p):
+    # independent route: scan 1..n keeping the open blocks on a stack; an
+    # element may only continue the top block or open a new one
+    owner = p.block_index()
+    stack = []
+    for x in range(1, p.n + 1):
+        b = owner[x]
+        block = p.blocks[b]
+        if stack and stack[-1] == b:
+            if x == block[-1]:
+                stack.pop()
+        elif x == block[0]:
+            if x != block[-1]:
+                stack.append(b)
+        else:
+            return False
+    return True
+
+
+def _crossings_by_quadruples(p):
+    # independent route: test all C(n, 4) quadruples a<b<c<d
+    owner = p.block_index()
+    return sum(
+        1
+        for a, b, c, d in itertools.combinations(range(1, p.n + 1), 4)
+        if owner[a] == owner[c] and owner[b] == owner[d] and owner[a] != owner[b]
+    )
+
+
 def test_noncrossing_iff_components_are_single_blocks():
     for n in range(1, 11):
         for p in enumerate_partitions(n, ALL):
             s = statistics(p)
-            assert classify(p).noncrossing == (s.cc == len(p.blocks))
+            noncrossing = classify(p).noncrossing
+            assert noncrossing == (s.cc == len(p.blocks))
+            assert noncrossing == _noncrossing_by_stack(p)
+
+
+def test_crossing_count_matches_quadruple_oracle():
+    for n in range(1, 9):
+        for p in enumerate_partitions(n, ALL):
+            assert statistics(p).cr == _crossings_by_quadruples(p)
+    for n in range(2, 11, 2):
+        for p in enumerate_pairings(n):
+            assert statistics(p).cr == _crossings_by_quadruples(p)
+
+
+def test_refines_matches_block_containment():
+    for n in range(1, 6):
+        lattice = enumerate_partitions(n, ALL)
+        for sigma in lattice:
+            for pi in lattice:
+                contained = all(any(set(b) <= set(c) for c in pi.blocks) for b in sigma.blocks)
+                assert refines(sigma, pi) == contained
+    assert not refines(bottom_partition(2), top_partition(3))
 
 
 def test_count_connected_pairings_known_values():
@@ -254,7 +304,7 @@ def test_moebius_noncrossing_row_sums_vanish():
 def test_direct_generation_matches_filtered_enumeration():
     for n in range(1, 9):
         every = enumerate_partitions(n, ALL)
-        assert enumerate_partitions(n, NC) == [p for p in every if _is_noncrossing(p)]
+        assert enumerate_partitions(n, NC) == [p for p in every if _noncrossing_by_stack(p)]
         assert enumerate_partitions(n, INT) == [p for p in every if _is_interval(p)]
 
 

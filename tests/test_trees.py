@@ -111,6 +111,12 @@ def test_dyck_parse_errors():
             dyck_to_tree(bad)
 
 
+def test_dyck_factorial_rejects_non_dyck_words():
+    for bad in ("DUUD", "UUU", "DD", "UDX"):
+        with pytest.raises(DyckParseError):
+            dyck_factorial(bad)
+
+
 def test_enumerate_dyck_words():
     assert enumerate_dyck_words(0) == [""]
     assert enumerate_dyck_words(1) == ["UD"]
@@ -126,6 +132,14 @@ def test_enumerate_dyck_words():
 def test_owedge():
     assert owedge("UD", "UD") == "UUDD"
     assert owedge("UUDD", "UD") == "UUDUDD"
+
+
+def test_owedge_rejects_non_dyck_operands():
+    for left, right in (("DU", "UD"), ("UD", "DU"), ("UDD", ""), ("UD", "UX")):
+        with pytest.raises(DyckParseError):
+            owedge(left, right)
+    with pytest.raises(ValueError):
+        owedge("", "UD")
 
 
 def test_nu_empty_and_ud():

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import nullspace_vector
-from .partitions import BoundExceededError
+from .errors import BoundExceededError
 from .trees import (
     BinaryTree,
     _vertex_paths,
@@ -35,6 +35,7 @@ __all__ = [
     "ReturnTimeSummary",
     "mtr_transition_matrix",
     "nt_transition_matrix",
+    "transition_matrix",
     "stationary",
     "return_time_sum",
     "simulate",
@@ -138,6 +139,13 @@ def nt_transition_matrix(n: int) -> StochasticMatrix:
     return StochasticMatrix(words, rows)
 
 
+def transition_matrix(model: str, n: int) -> StochasticMatrix:
+    """The "nt" (Naimi-Trehel) or "mtr" (move-to-root) chain on size-n states."""
+    if model not in ("nt", "mtr"):
+        raise ValueError(f"unknown chain model {model!r}; expected 'nt' or 'mtr'")
+    return (nt_transition_matrix if model == "nt" else mtr_transition_matrix)(n)
+
+
 def _communicating_classes(p: StochasticMatrix) -> list[list[str]]:
     """Strongly connected components of the positive-transition digraph (Tarjan)."""
     n = len(p.states)
@@ -231,7 +239,7 @@ def return_time_sum(n: int, chain: str = "nt") -> ReturnTimeSummary:
     the sum equals the total tree factorial s_{2n} and the uniform-start
     expectation is s_{2n} / Catalan(n).
     """
-    p = {"nt": nt_transition_matrix, "mtr": mtr_transition_matrix}[chain](n)
+    p = transition_matrix(chain, n)
     pi = stationary(p)
     total = sum(1 / w for w in pi.weights.values())
     assert total.denominator == 1
@@ -239,21 +247,17 @@ def return_time_sum(n: int, chain: str = "nt") -> ReturnTimeSummary:
     return ReturnTimeSummary(int(total), count, Fraction(int(total), count))
 
 
-def simulate(
-    p: StochasticMatrix, steps: int, seed: int, burn_in: int | None = None
-) -> Distribution:
+def simulate(p: StochasticMatrix, steps: int, seed: int) -> Distribution:
     """Empirical state frequencies of a seeded random walk.
 
-    The walk starts in the first canonical state, discards `burn_in`
-    transitions (default steps // 10), then records the state after each of
-    the next `steps` transitions.  The generator is random.Random(seed)
+    The walk starts in the first canonical state, discards a burn-in of
+    steps // 10 transitions, then records the state after each of the next
+    `steps` transitions.  The generator is random.Random(seed)
     (Mersenne Twister), so output is deterministic given (matrix, steps,
     seed).  steps = 0 degenerates to a point mass at the start state.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    if burn_in is None:
-        burn_in = steps // 10
     if steps == 0:
         return Distribution({p.states[0]: Fraction(1)})
     rng = random.Random(seed)
@@ -268,6 +272,7 @@ def simulate(
         cumulative.append(cum)
     counts = [0] * len(p.states)
     state = 0
+    burn_in = steps // 10
     for step in range(burn_in + steps):
         state = bisect_left(cumulative[state], rng.random())
         if step >= burn_in:

@@ -1,19 +1,22 @@
 """Command-line front end.
 
 Every subcommand prints a single JSON document (default) whose "config" field
-echoes the fully resolved invocation, or CSV/pretty text with the same
-config in a comment header.  Exit codes: 0 success, 1 domain/bound/usage
-errors (with a structured error object), 2 mathematical findings (a FAIL
-verdict or a failed verification check) so pipelines can tell discoveries
-from crashes.  Output is byte-deterministic given the arguments and seed.
+echoes every parsed argument, or pretty text with the same config in a
+comment header; commands whose result is a table also offer CSV.  Exit
+codes: 0 success, 1 usage, domain and bound errors (with a structured error
+object on stderr), 2 mathematical findings (a FAIL verdict or a failed
+verification check) so pipelines can tell discoveries from crashes.  Output
+is byte-deterministic given the arguments and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import astuple, fields
 from fractions import Fraction
 
 from . import chains as chains_mod
@@ -21,9 +24,8 @@ from . import cumulants as cumulants_mod
 from . import hopf as hopf_mod
 from . import partitions as partitions_mod
 from . import trees as trees_mod
-from .partitions import BoundExceededError
+from .errors import FreeprobError, UsageError
 from .transforms import (
-    FidReport,
     G_eval,
     cf_eval,
     decomposition_residual,
@@ -40,17 +42,11 @@ EXIT_ERROR = 1
 EXIT_FINDING = 2
 
 
-def _frac(text: str) -> Fraction:
-    return Fraction(text)
-
-
-def _frac_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
 def _parse_seq(text: str) -> list[Fraction]:
-    return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+    try:
+        return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_grid(spec: str) -> list[complex]:
@@ -83,24 +79,35 @@ def _parse_range(spec: str) -> list[float]:
     return out
 
 
-def _emit(config: dict, result, fmt: str, csv_rows=None, csv_header=None) -> None:
-    if fmt == "json":
-        print(json.dumps({"config": config, "result": result}, sort_keys=True))
-    elif fmt == "csv":
-        print(f"# config: {json.dumps(config, sort_keys=True)}")
-        if csv_header:
-            print(",".join(csv_header))
-        for row in csv_rows or []:
+def _config(args) -> dict:
+    """Every parsed argument but the handler; an action joins its command."""
+    config = dict(vars(args))
+    del config["fn"]
+    if "action" in config:
+        config["command"] += f" {config.pop('action')}"
+    return config
+
+
+def _emit(args, result, rows=None, header=None) -> None:
+    """Print `result` in args.format; csv prints `rows` under `header`.
+
+    Fractions print as "p/q" strings (json's default=str)."""
+    config = _config(args)
+    if args.format == "json":
+        print(json.dumps({"config": config, "result": result}, sort_keys=True, default=str))
+    elif args.format == "csv":
+        print(f"# config: {json.dumps(config, sort_keys=True, default=str)}")
+        print(",".join(header))
+        for row in rows:
             print(",".join(str(v) for v in row))
     else:  # pretty
-        print(f"# {json.dumps(config, sort_keys=True)}")
+        print(f"# {json.dumps(config, sort_keys=True, default=str)}")
         _pretty(result)
 
 
 def _pretty(result, indent: str = "") -> None:
     if isinstance(result, dict):
-        for key in result:
-            value = result[key]
+        for key, value in result.items():
             if isinstance(value, (dict, list)):
                 print(f"{indent}{key}:")
                 _pretty(value, indent + "  ")
@@ -117,37 +124,26 @@ def _pretty(result, indent: str = "") -> None:
 
 
 def _cmd_sequence(args) -> int:
-    name = args.name
-    if name == "a000699":
+    if args.name == "a000699":
         fc = cumulants_mod.gaussian_free_cumulants(args.max)
         orders = list(range(2, args.max + 1, 2))
         values = [fc[k] for k in orders]
-    elif name == "shifted":
+    elif args.name == "shifted":
         s = cumulants_mod.gaussian_shifted_sequence(args.max)
         orders = list(range(0, args.max + 1, 2))
         values = [s[k] for k in orders]
     else:  # catalan
-        import math
-
         orders = list(range(0, args.max + 1))
         values = [math.comb(2 * n, n) // (n + 1) for n in orders]
-    config = {"command": "sequence", "name": name, "max": args.max, "format": args.format}
-    if args.format == "pretty":
-        print(f"# {json.dumps(config, sort_keys=True)}")
-        print(",".join(str(v) for v in values))
-        return EXIT_OK
-    _emit(
-        config,
-        {"orders": orders, "values": [str(v) for v in values]},
-        args.format,
-        csv_rows=list(zip(orders, values)),
-        csv_header=("order", "value"),
-    )
+    if args.format == "pretty":  # the bare sequence on one line
+        result = ",".join(str(v) for v in values)
+    else:
+        result = {"orders": orders, "values": [str(v) for v in values]}
+    _emit(args, result, list(zip(orders, values)), ("order", "value"))
     return EXIT_OK
 
 
 def _cmd_cumulants(args) -> int:
-    seq = _parse_seq(args.seq)
     convert = {
         ("classical", "from-moments"): cumulants_mod.classical_from_moments,
         ("classical", "to-moments"): cumulants_mod.moments_from_classical,
@@ -156,96 +152,60 @@ def _cmd_cumulants(args) -> int:
         ("boolean", "from-moments"): cumulants_mod.boolean_from_moments,
         ("boolean", "to-moments"): cumulants_mod.moments_from_boolean,
     }[(args.kind, args.direction)]
-    out = convert(seq)
-    config = {
-        "command": "cumulants",
-        "kind": args.kind,
-        "direction": args.direction,
-        "seq": [_frac_str(v) for v in seq],
-        "format": args.format,
-    }
-    rows = [(n, _frac_str(v), float(v)) for n, v in enumerate(out)]
-    _emit(
-        config,
-        {"values": [_frac_str(v) for v in out], "decimal": [float(v) for v in out]},
-        args.format,
-        csv_rows=rows,
-        csv_header=("n", "value", "decimal"),
-    )
+    out = convert(args.seq)
+    rows = [(n, v, float(v)) for n, v in enumerate(out)]
+    result = {"values": out, "decimal": [float(v) for v in out]}
+    _emit(args, result, rows, ("n", "value", "decimal"))
     return EXIT_OK
 
 
-def _chain_matrix(model: str, n: int):
-    if model == "nt":
-        return chains_mod.nt_transition_matrix(n)
-    return chains_mod.mtr_transition_matrix(n)
-
-
 def _cmd_chains(args) -> int:
-    config = {
-        "command": f"chains {args.action}",
-        "model": args.model,
-        "n": args.n,
-        "format": args.format,
-    }
-    matrix = _chain_matrix(args.model, args.n)
-    if args.action == "stationary":
-        pi = chains_mod.stationary(matrix)
-        result = {
-            "states": matrix.states,
-            "weights": {s: _frac_str(w) for s, w in pi.weights.items()},
-        }
-        rows = [(s, _frac_str(pi.weights[s]), float(pi.weights[s])) for s in matrix.states]
-        _emit(config, result, args.format, rows, ("state", "weight", "decimal"))
-    elif args.action == "matrix":
-        edges = []
-        for i, state in enumerate(matrix.states):
-            for j, weight in enumerate(matrix.rows[i]):
-                if weight:
-                    edges.append(
-                        {"from": state, "to": matrix.states[j], "weight": _frac_str(weight)}
-                    )
-        result = {"states": matrix.states, "edges": edges}
-        rows = [(e["from"], e["to"], e["weight"]) for e in edges]
-        _emit(config, result, args.format, rows, ("from", "to", "weight"))
-    elif args.action == "return-time":
+    if args.action == "return-time":
         summary = chains_mod.return_time_sum(args.n, args.model)
         result = {
             "total": summary.total,
             "states": summary.state_count,
-            "expected_return": _frac_str(summary.expected_return),
+            "expected_return": summary.expected_return,
         }
-        _emit(config, result, args.format, [tuple(result.values())], tuple(result))
+        _emit(args, result, [tuple(result.values())], tuple(result))
+        return EXIT_OK
+    matrix = chains_mod.transition_matrix(args.model, args.n)
+    if args.action == "stationary":
+        weights = chains_mod.stationary(matrix).weights
+        rows = [(s, weights[s], float(weights[s])) for s in matrix.states]
+        result = {"states": matrix.states, "weights": weights}
+        _emit(args, result, rows, ("state", "weight", "decimal"))
+    elif args.action == "matrix":
+        edges = [
+            {"from": state, "to": matrix.states[j], "weight": weight}
+            for state, row in zip(matrix.states, matrix.rows)
+            for j, weight in enumerate(row)
+            if weight
+        ]
+        rows = [(e["from"], e["to"], e["weight"]) for e in edges]
+        _emit(args, {"states": matrix.states, "edges": edges}, rows, ("from", "to", "weight"))
     else:  # simulate
-        config.update({"steps": args.steps, "seed": args.seed})
         empirical = chains_mod.simulate(matrix, args.steps, args.seed)
-        exact = chains_mod.stationary(matrix)
-        tv = chains_mod.tv_distance(empirical, exact)
+        tv = chains_mod.tv_distance(empirical, chains_mod.stationary(matrix))
         result = {
-            "frequencies": {s: _frac_str(w) for s, w in sorted(empirical.weights.items())},
+            "frequencies": dict(sorted(empirical.weights.items())),
             "tv_distance_to_stationary": float(tv),
             "generator": "random.Random (Mersenne Twister)",
         }
-        _emit(config, result, args.format)
+        _emit(args, result)
     return EXIT_OK
 
 
 def _cmd_dyck(args) -> int:
-    config = {"command": f"dyck {args.action}", "format": args.format}
     if args.action == "mu":
-        config["word"] = args.word
         comb = trees_mod.mu_operator(args.word)
-        result = {word: comb[word] for word in sorted(comb)}
-        _emit(config, result, args.format, sorted(result.items()), ("word", "coefficient"))
+        _emit(args, comb, list(comb.items()), ("word", "coefficient"))
     elif args.action == "factorial":
-        config["word"] = args.word
-        _emit(config, {"factorial": trees_mod.dyck_factorial(args.word)}, args.format)
+        _emit(args, {"factorial": trees_mod.dyck_factorial(args.word)})
     elif args.action == "words":
-        config["n"] = args.n
         words = trees_mod.enumerate_dyck_words(args.n)
-        _emit(config, words, args.format, [(w,) for w in words], ("word",))
+        _emit(args, words, [(w,) for w in words], ("word",))
     else:  # matrix
-        config["n"] = args.n
         words, adjacency = trees_mod.nt_adjacency(args.n)
         result = {
             "words": words,
@@ -258,162 +218,110 @@ def _cmd_dyck(args) -> int:
             for j in range(len(words))
             if adjacency[i][j]
         ]
-        _emit(config, result, args.format, rows, ("from", "to", "count"))
+        _emit(args, result, rows, ("from", "to", "count"))
     return EXIT_OK
 
 
+def _tree(text: str):
+    return hopf_mod.tree_from_nested(json.loads(text))
+
+
+def _terms(comb: dict) -> dict:
+    """A linear combination of trees or of (left, right) tree pairs as
+    {nested-list JSON of the term: coefficient string}, sorted by key."""
+
+    def nested(term):
+        if isinstance(term, tuple):
+            return [hopf_mod.tree_to_nested(t) for t in term]
+        return hopf_mod.tree_to_nested(term)
+
+    return dict(sorted((json.dumps(nested(term)), str(coef)) for term, coef in comb.items()))
+
+
 def _cmd_hopf(args) -> int:
-    config = {"command": f"hopf {args.action}", "format": args.format}
-
-    def tree_arg():
-        return hopf_mod.tree_from_nested(json.loads(args.tree))
-
-    def comb_json(comb):
-        return {
-            json.dumps(hopf_mod.tree_to_nested(t)): _frac_str(coef)
-            for t, coef in sorted(
-                comb.items(), key=lambda kv: json.dumps(hopf_mod.tree_to_nested(kv[0]))
-            )
-        }
-
-    def tensor_json(comb):
-        return {
-            json.dumps(
-                [hopf_mod.tree_to_nested(a), hopf_mod.tree_to_nested(b)]
-            ): _frac_str(coef)
-            for (a, b), coef in sorted(
-                comb.items(),
-                key=lambda kv: json.dumps(
-                    [hopf_mod.tree_to_nested(kv[0][0]), hopf_mod.tree_to_nested(kv[0][1])]
-                ),
-            )
-        }
-
     if args.action == "product":
-        config["left"], config["right"] = args.left, args.right
-        s = hopf_mod.tree_from_nested(json.loads(args.left))
-        t = hopf_mod.tree_from_nested(json.loads(args.right))
-        _emit(config, comb_json(hopf_mod.lr_product(s, t)), args.format)
-    elif args.action == "coproduct":
-        config["tree"] = args.tree
-        _emit(config, tensor_json(hopf_mod.lr_coproduct(tree_arg())), args.format)
-    elif args.action == "bf-coproduct":
-        config["tree"] = args.tree
-        _emit(config, tensor_json(hopf_mod.bf_coproduct(tree_arg())), args.format)
-    elif args.action == "antipode":
-        config["tree"] = args.tree
-        _emit(config, comb_json(hopf_mod.antipode(tree_arg())), args.format)
+        _emit(args, _terms(hopf_mod.lr_product(_tree(args.left), _tree(args.right))))
     elif args.action == "hilbert":
-        config["max"] = args.max
         dims = [hopf_mod.hilbert_dimension(n) for n in range(args.max + 1)]
-        _emit(config, dims, args.format, list(enumerate(dims)), ("n", "dimension"))
-    else:  # laws
-        config["max_size"] = args.max_size
+        _emit(args, dims, list(enumerate(dims)), ("n", "dimension"))
+    elif args.action == "laws":
         results = {
             "coassociativity": bool(hopf_mod.coassociativity_check(args.max_size)),
             "counit": bool(hopf_mod.counit_check(args.max_size)),
             "antipode": bool(hopf_mod.antipode_check(args.max_size)),
         }
-        _emit(config, results, args.format)
+        _emit(args, results)
         if not all(results.values()):
             return EXIT_FINDING
+    else:
+        op = {
+            "coproduct": hopf_mod.lr_coproduct,
+            "bf-coproduct": hopf_mod.bf_coproduct,
+            "antipode": hopf_mod.antipode,
+        }[args.action]
+        _emit(args, _terms(op(_tree(args.tree))))
     return EXIT_OK
 
 
 def _cmd_fid(args) -> int:
-    report: FidReport = fid_test(_frac(args.c), args.order)
-    config = {
-        "command": "fid",
-        "c": args.c,
-        "order": args.order,
-        "format": args.format,
-    }
-    _emit(config, report.to_json(), args.format)
+    report = fid_test(Fraction(args.c), args.order)
+    _emit(args, report.to_json())
     return EXIT_FINDING if report.verdict == "FAIL" else EXIT_OK
 
 
+def _parts(w) -> tuple[float, float]:
+    w = complex(w)
+    return w.real, w.imag
+
+
+# op -> (csv columns after re_z, im_z; the values at one point).  The
+# evaluators are looked up when called, so wrappers installed on this
+# module's names see every call.
+_TRANSFORM_OPS = {
+    "g": (("re_g", "im_g"), lambda c, z, a: _parts(G_eval(c, z, dps=a.dps))),
+    "cf": (("re_g", "im_g"), lambda c, z, a: _parts(cf_eval(c, z, tol=a.tol, dps=a.dps))),
+    "riccati": (
+        ("g_residual", "f_residual"),
+        lambda c, z, a: astuple(riccati_residual(c, z, step=a.step, dps=a.dps)),
+    ),
+    "decomposition": (("residual",), lambda c, z, a: (decomposition_residual(c, z, dps=a.dps),)),
+    "phi": (
+        ("re_phi", "im_phi"),
+        lambda c, z, a: _parts(voiculescu_phi(c, z, tol=a.tol, dps=a.dps)),
+    ),
+}
+
+
 def _cmd_transform(args) -> int:
-    c = _frac(args.c)
-    points = _parse_grid(args.grid)
-    config = {
-        "command": "transform",
-        "c": args.c,
-        "grid": args.grid,
-        "op": args.op,
-        "dps": args.dps,
-        "format": args.format,
-    }
-    rows = []
-    finding = False
-    if args.op == "g":
-        for z in points:
-            g = complex(G_eval(c, z, dps=args.dps))
-            rows.append((z.real, z.imag, g.real, g.imag))
-        header = ("re_z", "im_z", "re_g", "im_g")
-    elif args.op == "cf":
-        for z in points:
-            g = complex(cf_eval(c, z, tol=args.tol, dps=args.dps))
-            rows.append((z.real, z.imag, g.real, g.imag))
-        header = ("re_z", "im_z", "re_g", "im_g")
-    elif args.op == "riccati":
-        for z in points:
-            res = riccati_residual(c, z, step=args.step, dps=args.dps)
-            rows.append((z.real, z.imag, res.g_form, res.f_form))
-        header = ("re_z", "im_z", "g_residual", "f_residual")
-    elif args.op == "decomposition":
-        for z in points:
-            rows.append((z.real, z.imag, decomposition_residual(c, z, dps=args.dps)))
-        header = ("re_z", "im_z", "residual")
-    else:  # phi
-        for z in points:
-            phi = complex(voiculescu_phi(c, z, tol=args.tol, dps=args.dps))
-            rows.append((z.real, z.imag, phi.real, phi.imag))
-            if c <= 0 and phi.imag > 1e-8:
-                finding = True
-        header = ("re_z", "im_z", "re_phi", "im_phi")
-    result = [dict(zip(header, row)) for row in rows]
-    _emit(config, result, args.format, rows, header)
+    c = Fraction(args.c)
+    columns, evaluate = _TRANSFORM_OPS[args.op]
+    header = ("re_z", "im_z", *columns)
+    rows = [(z.real, z.imag, *evaluate(c, z, args)) for z in _parse_grid(args.grid)]
+    _emit(args, [dict(zip(header, row)) for row in rows], rows, header)
+    # a free-infinitely-divisible mu_c (c <= 0) has Im phi <= 0 on the upper half-plane
+    finding = args.op == "phi" and c <= 0 and any(row[3] > 1e-8 for row in rows)
     return EXIT_FINDING if finding else EXIT_OK
 
 
 def _cmd_trajectory(args) -> int:
-    report = f_trajectory(_frac(args.c), r_lo=args.r_lo, r_hi=args.r_hi)
-    config = {
-        "command": "trajectory",
-        "c": args.c,
-        "r_lo": args.r_lo,
-        "r_hi": args.r_hi,
-        "format": args.format,
-    }
+    report = f_trajectory(Fraction(args.c), r_lo=args.r_lo, r_hi=args.r_hi)
+    # c, r_lo and r_hi are echoed in the config; the raw samples stay off the wire
     result = {
-        "q0": report.q0,
-        "s_crit": report.s_crit,
-        "f_at_scrit": report.f_at_scrit,
-        "f_above_diagonal": report.f_above_diagonal,
-        "fprime_below_one": report.fprime_below_one,
-        "unique_zero": report.unique_zero,
-        "unique_critical_point": report.unique_critical_point,
-        "scrit_below_bound": report.scrit_below_bound,
-        "failures": report.failures,
+        f.name: getattr(report, f.name)
+        for f in fields(report)
+        if f.name not in ("c", "r_lo", "r_hi", "samples")
     }
-    _emit(config, result, args.format)
+    _emit(args, result)
     return EXIT_OK if report.all_ok else EXIT_FINDING
 
 
 def _cmd_density(args) -> int:
-    c = _frac(args.c)
-    us = _parse_range(args.range)
-    config = {
-        "command": "density",
-        "c": args.c,
-        "range": args.range,
-        "eps": args.eps,
-        "richardson": args.richardson,
-        "format": args.format,
-    }
-    rows = [(u, density_eval(c, u, eps=args.eps, richardson=args.richardson)) for u in us]
-    result = [{"u": u, "density": d} for u, d in rows]
-    _emit(config, result, args.format, rows, ("u", "density"))
+    c = Fraction(args.c)
+    rows = [
+        (u, density_eval(c, u, eps=args.eps, richardson=args.richardson))
+        for u in _parse_range(args.range)
+    ]
+    _emit(args, [{"u": u, "density": d} for u, d in rows], rows, ("u", "density"))
     return EXIT_OK
 
 
@@ -435,8 +343,6 @@ def _desk_checks(level: str):
         return all(trees_mod.s_via_trees(n) == s[2 * n] for n in range(0, 7))
 
     def pairing_counts():
-        import math
-
         top = 12 if deep else 10
         return all(
             len(partitions_mod.enumerate_pairings(n)) == math.prod(range(n - 1, 0, -2))
@@ -482,7 +388,7 @@ def _desk_checks(level: str):
         top = 5 if deep else 4
         for n in range(1, top + 1):
             for model in ("nt", "mtr"):
-                pi = chains_mod.stationary(_chain_matrix(model, n))
+                pi = chains_mod.stationary(chains_mod.transition_matrix(model, n))
                 for word, weight in pi.weights.items():
                     if weight != F(1, trees_mod.dyck_factorial(word)):
                         return False
@@ -520,8 +426,6 @@ def _desk_checks(level: str):
         return True
 
     def gaussian_density():
-        import math
-
         for u in (0.0, 1.0, 2.0):
             expected = math.exp(-u * u / 2) / math.sqrt(2 * math.pi)
             if abs(density_eval(F(0), u, eps=1e-6) - expected) > 1e-4:
@@ -550,27 +454,23 @@ def _cmd_check(args) -> int:
         checks = [(name, fn) for name, fn in checks if name.startswith(args.target)]
         if not checks:
             raise ValueError(f"no checks for target {args.target!r}")
-    config = {
-        "command": "check",
-        "target": args.target,
-        "level": args.level,
-        "format": args.format,
-    }
-    results = {}
-    all_ok = True
-    for name, fn in checks:
-        ok = bool(fn())
-        results[name] = "ok" if ok else "FAIL"
-        all_ok &= ok
-    _emit(config, results, args.format, sorted(results.items()), ("check", "status"))
-    return EXIT_OK if all_ok else EXIT_FINDING
+    results = {name: "ok" if fn() else "FAIL" for name, fn in checks}
+    _emit(args, results, sorted(results.items()), ("check", "status"))
+    return EXIT_FINDING if "FAIL" in results.values() else EXIT_OK
 
 
 # ------------------------------------------------------------------ parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freeprob",
         description=(
             "Exact free-cumulant combinatorics, tree/Dyck Markov chains, "
@@ -578,99 +478,94 @@ def build_parser() -> argparse.ArgumentParser:
             "for the Askey-Wimp-Kerov measures."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument(
-            "--format", choices=("json", "csv", "pretty"), default="json", help="output format"
-        )
+    def command(sub, name, fn, table, help=None):
+        """The parser of one command or action; csv only where the result is a table."""
+        p = sub.add_parser(name, help=help)
+        formats = ("json", "csv", "pretty") if table else ("json", "pretty")
+        p.add_argument("--format", choices=formats, default="json", help="output format")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("sequence", help="print a named integer sequence")
+    def actions(name, help):
+        return commands.add_parser(name, help=help).add_subparsers(dest="action", required=True)
+
+    p = command(commands, "sequence", _cmd_sequence, True, "print a named integer sequence")
     p.add_argument("name", choices=("a000699", "shifted", "catalan"))
     p.add_argument("--max", type=int, default=12, help="maximum order")
-    add_format(p)
-    p.set_defaults(fn=_cmd_sequence)
 
-    p = sub.add_parser("cumulants", help="moment/cumulant conversions")
+    p = command(commands, "cumulants", _cmd_cumulants, True, "moment/cumulant conversions")
     p.add_argument("--kind", choices=("classical", "free", "boolean"), required=True)
     p.add_argument("--direction", choices=("from-moments", "to-moments"), required=True)
-    p.add_argument("--seq", required=True, help="comma-separated rationals, e.g. 1,0,1,0,3")
-    add_format(p)
-    p.set_defaults(fn=_cmd_cumulants)
-
-    p = sub.add_parser("chains", help="move-to-root and Naimi-Trehel chains")
-    p.add_argument("action", choices=("stationary", "matrix", "return-time", "simulate"))
-    p.add_argument("--model", choices=("nt", "mtr"), default="nt")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--steps", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    add_format(p)
-    p.set_defaults(fn=_cmd_chains)
-
-    p = sub.add_parser("dyck", help="Dyck words and the mu operator")
-    p.add_argument("action", choices=("mu", "factorial", "words", "matrix"))
-    p.add_argument("--word", default="")
-    p.add_argument("--n", type=int, default=3)
-    add_format(p)
-    p.set_defaults(fn=_cmd_dyck)
-
-    p = sub.add_parser("hopf", help="ordered-tree Hopf algebra operations")
     p.add_argument(
-        "action",
-        choices=("product", "coproduct", "bf-coproduct", "antipode", "hilbert", "laws"),
+        "--seq", type=_parse_seq, required=True, help="comma-separated rationals, e.g. 1,0,1,0,3"
     )
-    p.add_argument("--tree", help="nested-list tree, e.g. [3,[1],[2]]")
-    p.add_argument("--left", help="nested-list tree (product)")
-    p.add_argument("--right", help="nested-list tree (product)")
-    p.add_argument("--max", type=int, default=4, help="maximum degree (hilbert)")
-    p.add_argument("--max-size", type=int, default=3, help="maximum tree size (laws)")
-    add_format(p)
-    p.set_defaults(fn=_cmd_hopf)
 
-    p = sub.add_parser("fid", help="free-infinite-divisibility Hankel test")
+    chains = actions("chains", "move-to-root and Naimi-Trehel chains")
+    for action in ("stationary", "matrix", "return-time", "simulate"):
+        p = command(chains, action, _cmd_chains, action != "simulate")
+        p.add_argument("--model", choices=("nt", "mtr"), default="nt")
+        p.add_argument("--n", type=int, required=True)
+        if action == "simulate":
+            p.add_argument("--steps", type=int, default=100_000)
+            p.add_argument("--seed", type=int, default=0)
+
+    dyck = actions("dyck", "Dyck words and the mu operator")
+    for action in ("mu", "factorial"):
+        command(dyck, action, _cmd_dyck, action == "mu").add_argument("--word", default="")
+    for action in ("words", "matrix"):
+        command(dyck, action, _cmd_dyck, True).add_argument("--n", type=int, default=3)
+
+    hopf = actions("hopf", "ordered-tree Hopf algebra operations")
+    p = command(hopf, "product", _cmd_hopf, False)
+    p.add_argument("--left", required=True, help="nested-list tree")
+    p.add_argument("--right", required=True, help="nested-list tree")
+    for action in ("coproduct", "bf-coproduct", "antipode"):
+        p = command(hopf, action, _cmd_hopf, False)
+        p.add_argument("--tree", required=True, help="nested-list tree, e.g. [3,[1],[2]]")
+    p = command(hopf, "hilbert", _cmd_hopf, True)
+    p.add_argument("--max", type=int, default=4, help="maximum degree")
+    p = command(hopf, "laws", _cmd_hopf, False)
+    p.add_argument("--max-size", type=int, default=3, help="maximum tree size")
+
+    p = command(commands, "fid", _cmd_fid, False, "free-infinite-divisibility Hankel test")
     p.add_argument("--c", required=True, help="rational parameter, e.g. 9/10")
     p.add_argument("--order", type=int, default=200, help="highest shifted-sequence index")
-    add_format(p)
-    p.set_defaults(fn=_cmd_fid)
 
-    p = sub.add_parser("transform", help="evaluate transforms / residuals on a grid")
+    p = command(
+        commands, "transform", _cmd_transform, True, "evaluate transforms / residuals on a grid"
+    )
     p.add_argument("--c", required=True)
     p.add_argument("--grid", default="-2:2:5,0.6:3:5", help="x0:x1:nx,y0:y1:ny")
-    p.add_argument("--op", choices=("g", "cf", "riccati", "decomposition", "phi"), default="g")
+    p.add_argument("--op", choices=tuple(_TRANSFORM_OPS), default="g")
     p.add_argument("--step", type=float, default=1e-5, help="difference step (riccati)")
     p.add_argument("--tol", type=float, default=1e-11, help="tolerance (cf and phi ops)")
     p.add_argument("--dps", type=int, default=None, help="extended precision digits")
-    add_format(p)
-    p.set_defaults(fn=_cmd_transform)
 
-    p = sub.add_parser("trajectory", help="imaginary-axis flow verifier (-1 < c < 0)")
+    p = command(
+        commands, "trajectory", _cmd_trajectory, False, "imaginary-axis flow verifier (-1 < c < 0)"
+    )
     p.add_argument("--c", required=True)
     p.add_argument("--r-lo", type=float, default=-16.0)
     p.add_argument("--r-hi", type=float, default=12.0)
-    add_format(p)
-    p.set_defaults(fn=_cmd_trajectory)
 
-    p = sub.add_parser("density", help="density along the real line")
+    p = command(commands, "density", _cmd_density, True, "density along the real line")
     p.add_argument("--c", required=True)
     p.add_argument("--range", default="-4:4:0.01", help="lo:hi:step")
     p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--richardson", action="store_true")
-    add_format(p)
-    p.set_defaults(fn=_cmd_density)
 
-    p = sub.add_parser("check", help="run the invariant suite")
+    p = command(commands, "check", _cmd_check, True, "run the invariant suite")
     p.add_argument("target", nargs="?", default="all")
     p.add_argument("--level", choices=("desk", "full"), default="desk")
-    add_format(p)
-    p.set_defaults(fn=_cmd_check)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
@@ -681,7 +576,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_ERROR
-    except (BoundExceededError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
+    except (FreeprobError, ValueError, ArithmeticError) as exc:
         print(
             json.dumps(
                 {"error": {"type": type(exc).__name__, "message": str(exc)}}, sort_keys=True

@@ -27,8 +27,8 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
+from .errors import BoundExceededError
 from .partitions import (
-    BoundExceededError,
     LatticeKind,
     classify,
     enumerate_pairings,

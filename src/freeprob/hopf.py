@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .partitions import BoundExceededError
+from .errors import BoundExceededError
 from .trees import enumerate_trees, tree_size
 
 __all__ = [
@@ -422,7 +422,9 @@ def tree_from_nested(data) -> Tree:
         return None
     if not isinstance(data, (list, tuple)) or not data:
         raise ValueError(f"malformed tree encoding: {data!r}")
-    label = int(data[0])
+    label = data[0]
+    if not isinstance(label, int) or isinstance(label, bool):
+        raise ValueError(f"tree label must be an integer: {label!r}")
     if len(data) == 1:
         return LabeledTree(label)
     if len(data) == 3:

@@ -18,12 +18,13 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
+from .errors import BoundExceededError
+
 __all__ = [
     "Partition",
     "LatticeKind",
     "PartitionFlags",
     "PartitionStats",
-    "BoundExceededError",
     "LatticeOrderError",
     "LatticeMembershipError",
     "enumerate_partitions",
@@ -51,10 +52,6 @@ MAX_ENUM_PAIRING = 14
 MAX_MOEBIUS_ALL = 8
 MAX_MOEBIUS_NONCROSSING = 9
 MAX_MOEBIUS_INTERVAL = 13
-
-
-class BoundExceededError(Exception):
-    """An enumeration request exceeded the documented resource bound."""
 
 
 class LatticeOrderError(ValueError):

@@ -117,11 +117,12 @@ def _digits(dps: Optional[int]) -> float:
 # ------------------------------------------------------------ continued fraction
 
 CF_MIN_IM = 0.02
+CF_MAX_DEPTH = 1 << 17
 
 
 @_scoped
 def cf_eval(c, z, tol: float = 1e-13, depth: Optional[int] = None,
-            max_depth: int = 1 << 17, dps: Optional[int] = None):
+            dps: Optional[int] = None):
     """Backward-evaluated continued fraction for G with numerators c+k.
 
     With depth=None the depth doubles until two successive approximants
@@ -159,7 +160,7 @@ def cf_eval(c, z, tol: float = 1e-13, depth: Optional[int] = None,
     d = 32
     prev = approximant(d)
     gap = None
-    while d <= max_depth:
+    while d <= CF_MAX_DEPTH:
         d *= 2
         cur = approximant(d)
         gap = abs(cur - prev)
@@ -167,15 +168,17 @@ def cf_eval(c, z, tol: float = 1e-13, depth: Optional[int] = None,
             return cur
         prev = cur
     raise PrecisionError(
-        f"continued fraction did not converge by depth {max_depth} (residual {gap})"
+        f"continued fraction did not converge by depth {CF_MAX_DEPTH} (residual {gap})"
     )
 
 
 # ------------------------------------------------------------ entire series
 
+SERIES_MAX_TERMS = 200_000
+
 
 @_scoped
-def _phi_pair(c, z, dps: Optional[int] = None, max_terms: int = 200_000):
+def _phi_pair(c, z, dps: Optional[int] = None):
     """(phi_e, phi_e', phi_o, phi_o', scale) for the even/odd solutions of
     phi'' + z phi' + c phi = 0 with phi_e(0) = 1, phi_o'(0) = 1.
 
@@ -198,7 +201,7 @@ def _phi_pair(c, z, dps: Optional[int] = None, max_terms: int = 200_000):
     hump = float(abs(w2)) / 2
     quiet = 0
     k = 0
-    while k < max_terms:
+    while k < SERIES_MAX_TERMS:
         even_term = even_term * w2 * (-(cval + 2 * k) / ((2 * k + 1) * (2 * k + 2)))
         odd_term = odd_term * w2 * (-(cval + 2 * k + 1) / ((2 * k + 2) * (2 * k + 3)))
         k += 1
@@ -214,7 +217,7 @@ def _phi_pair(c, z, dps: Optional[int] = None, max_terms: int = 200_000):
         else:
             quiet = 0
     else:
-        raise PrecisionError(f"series for phi did not settle in {max_terms} terms at z={z}")
+        raise PrecisionError(f"series for phi did not settle in {SERIES_MAX_TERMS} terms at z={z}")
     return pe, dpe, po, dpo, float(scale)
 
 
@@ -231,7 +234,7 @@ def _phi_mixture_ratio(c: Fraction, dps: Optional[int]):
 
 
 @_scoped
-def _gauss_G(z, dps: Optional[int] = None, max_terms: int = 200_000):
+def _gauss_G(z, dps: Optional[int] = None):
     """(G(z), cancellation ratio) for the Gaussian closed form
     exp(-z^2/2) (-i sqrt(pi/2) + E(z)), E(z) = sum z^{2k+1}/((2k+1) 2^k k!)."""
     mp_mod = _mp(dps)
@@ -251,7 +254,7 @@ def _gauss_G(z, dps: Optional[int] = None, max_terms: int = 200_000):
     scale = abs(total)
     hump = float(abs(w2)) / 2
     k = 0
-    while k < max_terms:
+    while k < SERIES_MAX_TERMS:
         # z^{2k+3}/((2k+3) 2^{k+1} (k+1)!) from z^{2k+1}/((2k+1) 2^k k!)
         term = term * w2 * (2 * k + 1) / ((2 * k + 3) * 2 * (k + 1))
         k += 1
@@ -260,7 +263,7 @@ def _gauss_G(z, dps: Optional[int] = None, max_terms: int = 200_000):
         if abs(term) < eps * scale and k > hump:
             break
     else:
-        raise PrecisionError(f"Gaussian series did not settle in {max_terms} terms at z={z}")
+        raise PrecisionError(f"Gaussian series did not settle in {SERIES_MAX_TERMS} terms at z={z}")
     bracket = const + total
     cancel = float(scale / abs(bracket)) if abs(bracket) > 0 else math.inf
     return expf(-w2 / 2) * bracket, cancel
@@ -537,12 +540,14 @@ def _rk4_step(r: float, f: float, h: float, c: float) -> float:
     return f + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
 
 
-def f_trajectory(c, r_lo: float = -16.0, r_hi: float = 12.0, step: float = 0.005,
-                 dps: Optional[int] = None) -> FTrajectoryReport:
+TRAJECTORY_STEP = 0.005
+
+
+def f_trajectory(c, r_lo: float = -16.0, r_hi: float = 12.0) -> FTrajectoryReport:
     """Integrate the imaginary-axis flow downward and verify its shape.
 
-    Requires -1 < c < 0.  The initial value comes from the continued
-    fraction at i r_hi.  Assertion failures are collected in the report
+    Requires -1 < c < 0.  The initial value comes from the binary64
+    continued fraction at i r_hi; RK4 steps of TRAJECTORY_STEP follow.  Assertion failures are collected in the report
     (a finding, not an exception).
     """
     cfrac = Fraction(c)
@@ -551,15 +556,13 @@ def f_trajectory(c, r_lo: float = -16.0, r_hi: float = 12.0, step: float = 0.005
     cf = float(cfrac)
     if r_lo >= r_hi:
         raise ValueError("need r_lo < r_hi")
-    f0 = complex(1 / cf_eval(cfrac, complex(0.0, r_hi), dps=dps) / 1j)
-    f = f0.real
+    f = complex(1 / cf_eval(cfrac, complex(0.0, r_hi)) / 1j).real
     samples = [(r_hi, f, f * f - r_hi * f - cf)]
     r = r_hi
-    h = -abs(step)
     while r > r_lo + 1e-12:
-        hh = max(h, r_lo - r)
-        f = _rk4_step(r, f, hh, cf)
-        r = r + hh
+        h = max(-TRAJECTORY_STEP, r_lo - r)
+        f = _rk4_step(r, f, h, cf)
+        r = r + h
         samples.append((r, f, f * f - r * f - cf))
     report = FTrajectoryReport(c=cf, r_lo=r_lo, r_hi=r_hi, samples=samples)
 
@@ -581,7 +584,7 @@ def f_trajectory(c, r_lo: float = -16.0, r_hi: float = 12.0, step: float = 0.005
     if crit_crossings:
         report.s_crit = crit_crossings[0]
         report.f_at_scrit = min(
-            (fv for rv, fv, _ in samples if abs(rv - report.s_crit) < 5 * abs(step)),
+            (fv for rv, fv, _ in samples if abs(rv - report.s_crit) < 5 * TRAJECTORY_STEP),
             default=None,
         )
     report.f_above_diagonal = all(fv > rv for rv, fv, _ in samples)

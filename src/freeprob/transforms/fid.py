@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ..partitions import BoundExceededError
+from ..errors import BoundExceededError
 from .jacobi import pivot_signs
 
 __all__ = [

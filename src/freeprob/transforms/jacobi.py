@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .._linalg import bareiss_det_sign, clear_denominators
-from ..partitions import BoundExceededError
+from ..errors import BoundExceededError
 
 __all__ = [
     "JacobiParams",

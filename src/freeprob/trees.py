@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import BoundExceededError
+from .errors import BoundExceededError
 
 __all__ = [
     "BinaryTree",

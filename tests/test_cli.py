@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import freeprob
-from freeprob.cli import main
+from freeprob.cli import build_parser, main
 from freeprob.cumulants import MAX_FREE_SERIES_ORDER
 
 
@@ -216,6 +217,88 @@ def test_arithmetic_error_exit_one(capsys, argv):
     assert out == ""
     error = json.loads(err)["error"]
     assert error["type"] and error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["fid", "--order", "40"],
+        ["fid", "--c", "0", "--format", "csv"],
+        ["chains", "stationary", "--n", "3", "--steps", "5"],
+        ["hopf", "coproduct"],
+        ["cumulants", "--kind", "free", "--direction", "to-moments", "--seq", "abc"],
+    ],
+    ids=["no-command", "missing-c", "fid-csv", "foreign-flag", "missing-tree", "bad-seq"],
+)
+def test_usage_error_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "UsageError"
+
+
+@pytest.mark.parametrize("label", ["1.5", "true", "null", "[1]", '"1"'])
+def test_non_integer_tree_label_exit_one(capsys, label):
+    code, out, err = run(capsys, "hopf", "antipode", "--tree", f"[{label}]")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ValueError"
+
+
+def test_transform_config_echoes_tol_and_step(capsys):
+    code, doc, _ = run_json(capsys, "transform", "--c", "0", "--grid=-1:1:2,1:2:1", "--op", "cf", "--tol", "1e-5")
+    assert code == 0
+    assert doc["config"]["tol"] == 1e-5
+    assert doc["config"]["step"] == 1e-5
+
+
+def _leaf_parsers(parser, words=()):
+    """(command words, parser) for every command or action that takes no further action."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(words), parser
+        return
+    for name, sub in subs[0].choices.items():
+        yield from _leaf_parsers(sub, (*words, name))
+
+
+# one cheap invocation of every command and action
+LEAF_ARGV = {
+    "sequence": ["sequence", "catalan", "--max", "3"],
+    "cumulants": ["cumulants", "--kind", "free", "--direction", "to-moments", "--seq", "1,0,1"],
+    "chains stationary": ["chains", "stationary", "--n", "2"],
+    "chains matrix": ["chains", "matrix", "--n", "2"],
+    "chains return-time": ["chains", "return-time", "--n", "2"],
+    "chains simulate": ["chains", "simulate", "--n", "2", "--steps", "10"],
+    "dyck mu": ["dyck", "mu", "--word", "UD"],
+    "dyck factorial": ["dyck", "factorial", "--word", "UD"],
+    "dyck words": ["dyck", "words", "--n", "2"],
+    "dyck matrix": ["dyck", "matrix", "--n", "2"],
+    "hopf product": ["hopf", "product", "--left", "[1]", "--right", "[1]"],
+    "hopf coproduct": ["hopf", "coproduct", "--tree", "[1]"],
+    "hopf bf-coproduct": ["hopf", "bf-coproduct", "--tree", "[1]"],
+    "hopf antipode": ["hopf", "antipode", "--tree", "[1]"],
+    "hopf hilbert": ["hopf", "hilbert", "--max", "2"],
+    "hopf laws": ["hopf", "laws", "--max-size", "2"],
+    "fid": ["fid", "--c", "0", "--order", "20"],
+    "transform": ["transform", "--c", "0", "--grid=0:0:1,1:1:1"],
+    "trajectory": ["trajectory", "--c=-1/2"],
+    "density": ["density", "--c", "0", "--range=0:0:1"],
+    "check": ["check", "trees"],
+}
+
+
+LEAF_PARSERS = dict(_leaf_parsers(build_parser()))
+
+
+@pytest.mark.parametrize("name", list(LEAF_PARSERS))
+def test_config_echoes_every_argument(capsys, name):
+    code, doc, _ = run_json(capsys, *LEAF_ARGV[name])
+    assert code == 0
+    dests = {action.dest for action in LEAF_PARSERS[name]._actions if action.dest != "help"}
+    assert set(doc["config"]) == dests | {"command"}
+    assert doc["config"]["command"] == name
 
 
 def test_closed_pipe_exits_quietly():

@@ -27,7 +27,8 @@ from freeprob.cumulants import (
     nc_innerpoint_sum,
     weighted_pairing_moment,
 )
-from freeprob.partitions import BoundExceededError, classify, enumerate_partitions, LatticeKind
+from freeprob.errors import BoundExceededError
+from freeprob.partitions import classify, enumerate_partitions, LatticeKind
 
 GAUSS_MOMENTS = [1, 0, 1, 0, 3, 0, 15, 0, 105, 0, 945]
 

@@ -7,7 +7,8 @@ from freeprob.cumulants import (
     gaussian_free_cumulants,
     gaussian_shifted_sequence,
 )
-from freeprob.partitions import BoundExceededError, count_connected_pairings
+from freeprob.errors import BoundExceededError
+from freeprob.partitions import count_connected_pairings
 from freeprob.transforms import (
     fid_test,
     formal_phi_ode_check,

@@ -400,3 +400,11 @@ def test_nested_round_trip():
     assert tree_from_nested(None) is None
     with pytest.raises(ValueError):
         tree_from_nested([1, [2]])
+
+
+@pytest.mark.parametrize("label", [1.5, True, None, [1], "1"])
+def test_tree_from_nested_rejects_non_integer_labels(label):
+    with pytest.raises(ValueError, match="integer"):
+        tree_from_nested([label])
+    with pytest.raises(ValueError, match="integer"):
+        tree_from_nested([2, [label], None])

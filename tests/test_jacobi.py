@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from freeprob.cumulants import free_from_moments, gaussian_shifted_sequence, moments_from_free
-from freeprob.partitions import BoundExceededError
+from freeprob.errors import BoundExceededError
 from freeprob.transforms import (
     JacobiParams,
     hankel_sign,

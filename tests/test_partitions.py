@@ -4,8 +4,8 @@ import math
 import pytest
 
 from freeprob import partitions
+from freeprob.errors import BoundExceededError
 from freeprob.partitions import (
-    BoundExceededError,
     LatticeKind,
     LatticeMembershipError,
     LatticeOrderError,

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from freeprob.cumulants import gaussian_shifted_sequence
-from freeprob.partitions import BoundExceededError
+from freeprob.errors import BoundExceededError
 from freeprob.trees import (
     BinaryTree,
     DyckParseError,

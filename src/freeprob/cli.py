@@ -28,6 +28,7 @@ from .errors import FreeprobError, UsageError
 from .transforms import (
     G_eval,
     cf_eval,
+    check_steps,
     decomposition_residual,
     density_eval,
     f_trajectory,
@@ -71,6 +72,7 @@ def _parse_range(spec: str) -> list[float]:
         raise ValueError(f"malformed range spec {spec!r}; expected lo:hi:step") from exc
     if step <= 0:
         raise ValueError("range step must be positive")
+    check_steps(lo, hi, step)
     out = []
     value = lo
     while value <= hi + 1e-12:
@@ -223,7 +225,10 @@ def _cmd_dyck(args) -> int:
 
 
 def _tree(text: str):
-    return hopf_mod.tree_from_nested(json.loads(text))
+    try:
+        return hopf_mod.tree_from_nested(json.loads(text))
+    except RecursionError:
+        raise ValueError("tree nested too deeply to read") from None
 
 
 def _terms(comb: dict) -> dict:

@@ -274,6 +274,8 @@ def gaussian_shifted_sequence(count: int) -> list[int]:
     two: s_n equals the number of connected pairings of n+2 points.
     Bound: count <= 600.
     """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
     if count > MAX_RIORDAN_ORDER:
         raise BoundExceededError(f"shifted-sequence bound is count <= {MAX_RIORDAN_ORDER}")
     s = [0] * (count + 1)

@@ -43,6 +43,7 @@ __all__ = [
     "coassociativity_check",
     "counit_check",
     "antipode",
+    "antipode_check",
     "bf_over",
     "bf_coproduct",
     "tree_to_nested",
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 MAX_ORDERED_ENUM = 7
+MAX_LAW_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -68,34 +70,26 @@ def labels_of(t: Tree) -> frozenset:
     return labels_of(t.left) | {t.label} | labels_of(t.right)
 
 
-class _Violation(Exception):
-    pass
-
-
 def _span(t: Tree):
-    """(min, max) of the subtree labels; raises _Violation on an ordering breach."""
+    """(min, max) of the subtree labels, None when t is empty, False on an ordering breach."""
     if t is None:
         return None
     lo = hi = t.label
     left, right = _span(t.left), _span(t.right)
     for sub in (left, right):
+        if sub is False:
+            return False
         if sub is not None:
             lo = min(lo, sub[0])
             hi = max(hi, sub[1])
     if left is not None and right is not None and left[1] >= right[0]:
-        raise _Violation
+        return False
     return lo, hi
 
 
 def is_anti_increasing(t: Tree) -> bool:
     """Labels distinct and, at every vertex, left-subtree < right-subtree labels."""
-    if len(labels_of(t)) != tree_size(t):
-        return False
-    try:
-        _span(t)
-        return True
-    except _Violation:
-        return False
+    return len(labels_of(t)) == tree_size(t) and _span(t) is not False
 
 
 def canonical(t: Tree) -> Tree:
@@ -112,8 +106,7 @@ def canonical(t: Tree) -> Tree:
 
 def is_ordered(t: Tree) -> bool:
     """Canonical representative: labels exactly {1..n} and anti-increasing."""
-    n = tree_size(t)
-    return labels_of(t) == frozenset(range(1, n + 1)) and is_anti_increasing(t)
+    return labels_of(t) == frozenset(range(1, tree_size(t) + 1)) and _span(t) is not False
 
 
 def graft(s: Tree, k: int, t: Tree) -> LabeledTree:
@@ -136,6 +129,31 @@ def shift_labels(t: Tree, delta: int) -> Tree:
 def _require_ordered(t: Tree) -> None:
     if not is_ordered(t):
         raise ValueError(f"not an anti-increasingly ordered tree: {tree_to_nested(t)}")
+
+
+def _closed_op(op, s: Tree, t: Tree, what: str):
+    """op(s, t') on ordered s and t, with t' the tree t relabeled above the
+    labels of s; every term of the result must be anti-increasing."""
+    _require_ordered(s)
+    _require_ordered(t)
+    terms = op(s, shift_labels(t, tree_size(s)))
+    if not all(is_anti_increasing(term) for term in terms):
+        raise AssertionError(f"{what} closure violated (internal error)")
+    return terms
+
+
+def _graded_tensor(cop, t: Tree, what: str) -> dict:
+    """cop(t) on an ordered t, both tensor sides relabeled canonically; the
+    gradings must add, size(left) + size(right) = size(t), in every term."""
+    _require_ordered(t)
+    terms = cop(t)
+    n = tree_size(t)
+    if any(tree_size(a) + tree_size(b) != n for a, b in terms):
+        raise AssertionError(f"{what} grading violated (internal error)")
+    out: Counter = Counter()
+    for (a, b), coef in terms.items():
+        out[(canonical(a), canonical(b))] += coef
+    return {k: v for k, v in out.items() if v}
 
 
 def enumerate_ordered_trees(n: int) -> list:
@@ -195,14 +213,7 @@ def lr_product(s: Tree, t: Tree) -> dict:
     Computed by giving t labels above those of s (label-choice independence
     is exercised in the tests), so all terms carry canonical labels already.
     """
-    _require_ordered(s)
-    _require_ordered(t)
-    shifted = shift_labels(t, tree_size(s))
-    terms = _prod_labeled(s, shifted)
-    for term in terms:
-        if not is_anti_increasing(term):
-            raise AssertionError("product closure violated (internal error)")
-    return dict(terms)
+    return dict(_closed_op(_prod_labeled, s, t, "product"))
 
 
 # ---------------------------------------------------------------- coproduct
@@ -221,30 +232,42 @@ def _cop_labeled(t: Tree) -> Counter:
     return out
 
 
-def _canonical_tensor(terms: Counter) -> dict:
-    out: Counter = Counter()
-    for (a, b), coef in terms.items():
-        out[(canonical(a), canonical(b))] += coef
-    return {k: v for k, v in out.items() if v}
-
-
 def lr_coproduct(t: Tree) -> dict:
     """Coproduct of an ordered tree as a map (left, right) -> coefficient.
 
     Gradings add: size(left) + size(right) = size(t) in every term.
     """
-    _require_ordered(t)
-    terms = _cop_labeled(t)
-    n = tree_size(t)
-    for (a, b) in terms:
-        if tree_size(a) + tree_size(b) != n:
-            raise AssertionError("coproduct grading violated (internal error)")
-    return _canonical_tensor(terms)
+    return _graded_tensor(_cop_labeled, t, "coproduct")
 
 
 def counit(combination: dict) -> Fraction:
     """Projection onto the empty-tree component."""
     return Fraction(combination.get(None, 0))
+
+
+def _convolve(terms: dict, s) -> dict:
+    """m (s x id) of a tensor combination: the sum of c * s(a) * b over its
+    terms (a, b) -> c, with the empty tree as the unit; zero terms dropped."""
+    out: Counter = Counter()
+    for (a, b), c in terms.items():
+        for sa, ca in s(a).items():
+            # with one side empty the product is the other side
+            prod = {sa or b: 1} if sa is None or b is None else lr_product(sa, b)
+            for w, cw in prod.items():
+                out[w] += c * ca * cw
+    return {k: v for k, v in out.items() if v}
+
+
+def antipode(t: Tree) -> dict:
+    """Antipode via the graded-connected recursion m (S x id) Delta t = 0,
+    S(t) = -t - sum of S(t_(1)) * t_(2) over proper coproduct terms."""
+    if t is None:
+        return {None: 1}
+    rest = {k: c for k, c in lr_coproduct(t).items() if k != (t, None)}
+    return {w: -c for w, c in _convolve(rest, antipode).items()}
+
+
+# --------------------------------------------------------------------- laws
 
 
 @dataclass
@@ -256,15 +279,45 @@ class CheckResult:
         return self.ok
 
 
-def _coassociativity_defect(t: Tree) -> dict:
+def _law_sweep(max_size: int, law) -> CheckResult:
+    """law(t, delta, s) on every ordered tree t of size <= max_size, up to
+    the first failing CheckResult, which carries the counterexample.
+
+    delta and s are lr_coproduct and antipode, each taken once per tree in
+    this sweep.  Bound: max_size <= 4, checked before any enumeration.
+    """
+    if max_size > MAX_LAW_SIZE:
+        raise BoundExceededError(f"Hopf law bound is max_size <= {MAX_LAW_SIZE}")
+    delta = lru_cache(maxsize=None)(lr_coproduct)  # tables local to this sweep
+    s = lru_cache(maxsize=None)(antipode)
+    for n in range(max_size + 1):
+        for t in enumerate_ordered_trees(n):
+            result = law(t, delta, s)
+            if not result:
+                return result
+    return CheckResult(True)
+
+
+def _coassociativity_defect(t: Tree, delta, s) -> CheckResult:
     """(Delta x id) Delta t - (id x Delta) Delta t, nonzero triple terms only."""
     out: Counter = Counter()
-    for (a, b), c in lr_coproduct(t).items():
-        for (x, y), d in lr_coproduct(a).items():
+    for (a, b), c in delta(t).items():
+        for (x, y), d in delta(a).items():
             out[(x, y, b)] += c * d
-        for (x, y), d in lr_coproduct(b).items():
+        for (x, y), d in delta(b).items():
             out[(a, x, y)] -= c * d
-    return {k: v for k, v in out.items() if v}
+    diff = {k: v for k, v in out.items() if v}
+    return CheckResult(not diff, (t, diff))
+
+
+def _counit_defect(t: Tree, delta, s) -> CheckResult:
+    left = {b: c for (a, b), c in delta(t).items() if a is None}
+    right = {a: c for (a, b), c in delta(t).items() if b is None}
+    return CheckResult(left == right == {t: 1}, t)
+
+
+def _antipode_defect(t: Tree, delta, s) -> CheckResult:
+    return CheckResult(_convolve(delta(t), s) == ({None: 1} if t is None else {}), t)
 
 
 def coassociativity_check(max_size: int) -> CheckResult:
@@ -272,68 +325,18 @@ def coassociativity_check(max_size: int) -> CheckResult:
 
     The counterexample is (t, lhs - rhs) over the triples where they differ.
     """
-    for n in range(max_size + 1):
-        for t in enumerate_ordered_trees(n):
-            diff = _coassociativity_defect(t)
-            if diff:
-                return CheckResult(False, (t, diff))
-    return CheckResult(True)
+    return _law_sweep(max_size, _coassociativity_defect)
 
 
 def counit_check(max_size: int) -> CheckResult:
-    """Both counit laws on all ordered trees of size <= max_size."""
-    for n in range(max_size + 1):
-        for t in enumerate_ordered_trees(n):
-            cop = lr_coproduct(t)
-            left = Counter()
-            right = Counter()
-            for (a, b), c in cop.items():
-                if a is None:
-                    left[b] += c
-                if b is None:
-                    right[a] += c
-            if dict(left) != {t: 1} or dict(right) != {t: 1}:
-                return CheckResult(False, t)
-    return CheckResult(True)
-
-
-def antipode(t: Tree) -> dict:
-    """Antipode via the graded-connected recursion
-    S(t) = -t - sum of S(t_(1)) * t_(2) over proper coproduct terms."""
-    if t is None:
-        return {None: 1}
-    _require_ordered(t)
-    out: Counter = Counter({t: -1})
-    for (a, b), c in lr_coproduct(t).items():
-        if a is None or b is None:
-            continue
-        for sa, ca in antipode(a).items():
-            if sa is None:
-                out[b] -= c * ca
-                continue
-            for w, cw in lr_product(sa, b).items():
-                out[w] -= c * ca * cw
-    return {k: v for k, v in out.items() if v}
+    """Both counit laws on all ordered trees of size <= max_size; the counterexample is t."""
+    return _law_sweep(max_size, _counit_defect)
 
 
 def antipode_check(max_size: int) -> CheckResult:
-    """m (S x id) Delta = unit . counit on all ordered trees of size <= max_size."""
-    for n in range(max_size + 1):
-        for t in enumerate_ordered_trees(n):
-            acc: Counter = Counter()
-            for (a, b), c in lr_coproduct(t).items():
-                for sa, ca in antipode(a).items():
-                    if sa is None:
-                        acc[b] += c * ca
-                    elif b is None:
-                        acc[sa] += c * ca
-                    else:
-                        for w, cw in lr_product(sa, b).items():
-                            acc[w] += c * ca * cw
-            expected = {None: 1} if t is None else {}
-            if {k: v for k, v in acc.items() if v} != expected:
-                return CheckResult(False, t)
-    return CheckResult(True)
+    """m (S x id) Delta = unit . counit, S the public antipode, on all ordered
+    trees of size <= max_size; the counterexample is t."""
+    return _law_sweep(max_size, _antipode_defect)
 
 
 # ------------------------------------------------- Brouder-Frabetti coproduct
@@ -350,11 +353,7 @@ def bf_over_labeled(s: Tree, t: Tree) -> Tree:
 
 def bf_over(s: Tree, t: Tree) -> Tree:
     """Associative product on ordered trees with the empty tree neutral."""
-    _require_ordered(s)
-    _require_ordered(t)
-    result = bf_over_labeled(s, shift_labels(t, tree_size(s)))
-    if not is_anti_increasing(result):
-        raise AssertionError("bf product closure violated (internal error)")
+    (result,) = _closed_op(lambda a, b: (bf_over_labeled(a, b),), s, t, "bf product")
     return result
 
 
@@ -376,9 +375,9 @@ def _bf_cop_labeled(t: Tree) -> Counter:
             out[(None, t)] += 1
             return out
         a_terms = _bf_cop_labeled(w.left)
-        b_terms = Counter(_bf_cop_labeled(LabeledTree(w.label, None, w.right)))
-        b_terms[(LabeledTree(w.label, None, w.right), None)] -= 1
-        b_terms = Counter({key: c for key, c in b_terms.items() if c})
+        generator = LabeledTree(w.label, None, w.right)
+        b_terms = _bf_cop_labeled(generator)
+        del b_terms[(generator, None)]  # the subtracted term; its coefficient is 1
         for (a1, a2), ca in a_terms.items():
             for (b1, b2), cb in b_terms.items():
                 left = bf_over_labeled(a1, b1)
@@ -396,13 +395,7 @@ def _bf_cop_labeled(t: Tree) -> Counter:
 
 def bf_coproduct(t: Tree) -> dict:
     """Charge coproduct of an ordered tree; gradings add in every term."""
-    _require_ordered(t)
-    terms = _bf_cop_labeled(t)
-    n = tree_size(t)
-    for (a, b) in terms:
-        if tree_size(a) + tree_size(b) != n:
-            raise AssertionError("charge coproduct grading violated (internal error)")
-    return _canonical_tensor(terms)
+    return _graded_tensor(_bf_cop_labeled, t, "charge coproduct")
 
 
 # ------------------------------------------------------------- serialization

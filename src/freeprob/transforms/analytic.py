@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from ..errors import BoundExceededError
+
 __all__ = [
     "PrecisionError",
     "PoleError",
@@ -45,6 +47,7 @@ __all__ = [
     "density_eval",
     "voiculescu_phi",
     "f_trajectory",
+    "check_steps",
 ]
 
 
@@ -541,6 +544,19 @@ def _rk4_step(r: float, f: float, h: float, c: float) -> float:
 
 
 TRAJECTORY_STEP = 0.005
+# 10,000 density points with Richardson extrapolation at the default eps
+# take 13 s near u = 30 (c = 0, the slowest found); a trajectory step is
+# far cheaper
+MAX_SAMPLES = 10_000
+
+
+def check_steps(lo: float, hi: float, step: float) -> None:
+    """Reject a walk between lo and hi in steps of size step that would never
+    end (step below the float spacing there) or take over MAX_SAMPLES samples."""
+    if lo + step == lo or hi + step == hi:
+        raise ValueError(f"step {step} does not change the values between {lo} and {hi}")
+    if (hi - lo) / step >= MAX_SAMPLES:
+        raise BoundExceededError(f"sample bound is {MAX_SAMPLES} points per walk")
 
 
 def f_trajectory(c, r_lo: float = -16.0, r_hi: float = 12.0) -> FTrajectoryReport:
@@ -556,6 +572,7 @@ def f_trajectory(c, r_lo: float = -16.0, r_hi: float = 12.0) -> FTrajectoryRepor
     cf = float(cfrac)
     if r_lo >= r_hi:
         raise ValueError("need r_lo < r_hi")
+    check_steps(r_lo, r_hi, TRAJECTORY_STEP)
     f = complex(1 / cf_eval(cfrac, complex(0.0, r_hi)) / 1j).real
     samples = [(r_hi, f, f * f - r_hi * f - cf)]
     r = r_hi

@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 MAX_EXACT_ORDER = 400
+# fid at order 400 takes 25-29 s for a c of 128-bit numerator and
+# denominator on a 2-core container, almost all in the cumulant recursion,
+# and 30 s at 135 bits
+MAX_C_BITS = 128
 
 
 def free_cumulants_of_mu_c(c, order: int) -> list[Fraction]:
@@ -43,15 +47,22 @@ def free_cumulants_of_mu_c(c, order: int) -> list[Fraction]:
 
     Uses the inverse-transform recursion above; fc at odd orders vanishes
     (the measure is symmetric).  c = -1 gives the point mass at zero (all
-    cumulants beyond fc_1 vanish).  Bound: order <= 400.
+    cumulants beyond fc_1 vanish).  Bound: order <= 400, c of at most 128 bits.
     """
-    _check_budget(order)
-    return _free_cumulants(Fraction(c), order)
+    return _free_cumulants(_budgeted(c, order), order)
 
 
-def _check_budget(order: int) -> None:
+def _budgeted(c, order: int) -> Fraction:
+    """c as a Fraction, once order and the numerator and denominator of c
+    are within the exact-arithmetic budget."""
     if order > MAX_EXACT_ORDER:
         raise BoundExceededError(f"exact-arithmetic budget is order <= {MAX_EXACT_ORDER}")
+    c = Fraction(c)
+    if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_C_BITS:
+        raise BoundExceededError(
+            f"exact-arithmetic budget is c with numerator and denominator of at most {MAX_C_BITS} bits"
+        )
+    return c
 
 
 def _free_cumulants(c: Fraction, order: int) -> list[Fraction]:
@@ -77,9 +88,8 @@ def _free_cumulants(c: Fraction, order: int) -> list[Fraction]:
 def shifted_sequence_of_mu_c(c, count: int) -> list[Fraction]:
     """s_0..s_count with s_n = fc_{n+2} of the measure with beta_k = c + k.
 
-    Bound: count <= 400 (it needs fc up to count + 2)."""
-    _check_budget(count)
-    fc = _free_cumulants(Fraction(c), count + 2)
+    Bound: count <= 400 (it needs fc up to count + 2), c of at most 128 bits."""
+    fc = _free_cumulants(_budgeted(c, count), count + 2)
     return [fc[n + 2] for n in range(count + 1)]
 
 
@@ -126,12 +136,11 @@ def fid_test(c, order: int) -> FidReport:
     Hankel determinants H_0..H_{order//2} are scanned through the certified
     pivot signs of pivot_signs; PASS means every pivot in range is positive
     (or the sequence is identically zero, the point-mass case).
-    Bound: order <= 400.
+    Bound: order <= 400, c of at most 128 bits.
     """
     if order < 4:
         raise ValueError("order must be at least 4")
-    _check_budget(order)
-    c = Fraction(c)
+    c = _budgeted(c, order)
     start = time.monotonic()
     s = shifted_sequence_of_mu_c(c, order)
     depth = order // 2

@@ -220,6 +220,31 @@ def test_arithmetic_error_exit_one(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["hopf", "laws", "--max-size", "99"], "BoundExceededError"),
+        (["fid", "--c", "1e-400", "--order", "40"], "BoundExceededError"),
+        (["sequence", "shifted", "--max", "-1"], "ValueError"),
+        (["hopf", "antipode", "--tree", "[" * 3000 + "]" * 3000], "ValueError"),
+        (["density", "--c", "0", "--range=1e300:1e300:1"], "ValueError"),
+        (["density", "--c", "0", "--range=0:1e6:1"], "BoundExceededError"),
+        (["trajectory", "--c=-1/2", "--r-hi", "1e300"], "ValueError"),
+        (["trajectory", "--c=-1/2", "--r-lo=-1e6"], "BoundExceededError"),
+    ],
+    ids=[
+        "law-bound", "c-bits", "negative-count", "deep-tree", "stalled-range", "long-range",
+        "stalled-trajectory", "long-trajectory",
+    ],
+)
+def test_input_beyond_reach_exit_one(capsys, argv, error):
+    # each is rejected before any work starts, as a JSON error
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == error
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         [],

@@ -9,6 +9,7 @@ from freeprob.cumulants import (
 )
 from freeprob.errors import BoundExceededError
 from freeprob.partitions import count_connected_pairings
+from freeprob.transforms.fid import MAX_C_BITS
 from freeprob.transforms import (
     fid_test,
     formal_phi_ode_check,
@@ -107,6 +108,22 @@ def test_fid_reaches_documented_order_budget():
     for call in (lambda: fid_test(F(-1, 2), 401), lambda: shifted_sequence_of_mu_c(0, 401)):
         with pytest.raises(BoundExceededError, match="400"):
             call()
+
+
+def test_fid_bounds_the_size_of_c():
+    # numerator and denominator of at most MAX_C_BITS bits; the bound is
+    # checked before any cumulant is computed
+    admitted = F(1, 2**(MAX_C_BITS - 1))
+    assert len(free_cumulants_of_mu_c(admitted, 10)) == 11
+    assert len(free_cumulants_of_mu_c(1 / admitted, 10)) == 11
+    for c in (F(1, 2**MAX_C_BITS), F(2**MAX_C_BITS, 3), F(1, 10**400)):
+        for call in (
+            lambda: fid_test(c, 40),
+            lambda: free_cumulants_of_mu_c(c, 10),
+            lambda: shifted_sequence_of_mu_c(c, 10),
+        ):
+            with pytest.raises(BoundExceededError, match=f"{MAX_C_BITS} bits"):
+                call()
 
 
 def test_fid_rejects_small_order():

@@ -5,8 +5,10 @@ import pytest
 
 from freeprob.cumulants import gaussian_shifted_sequence
 from freeprob import hopf
+from freeprob.errors import BoundExceededError
 from freeprob.trees import count_anti_increasing_labelings, enumerate_trees
 from freeprob.hopf import (
+    MAX_LAW_SIZE,
     CheckResult,
     LabeledTree,
     antipode,
@@ -261,6 +263,51 @@ def test_coassociativity_reports_defect(monkeypatch):
     monkeypatch.setattr(hopf, "lr_coproduct", dropped)
     t = N(1, None, N(2))
     assert coassociativity_check(2) == CheckResult(False, (t, {(V1, V1, E): 1, (V1, E, V1): -1}))
+
+
+def test_counit_reports_defect(monkeypatch):
+    # doubling E x t in the coproduct of the cherry breaks the left counit
+    # law there and nowhere before it
+    cherry = N(3, N(1), N(2))
+    true_coproduct = hopf.lr_coproduct
+
+    def doubled(t):
+        terms = true_coproduct(t)
+        if t == cherry:
+            terms[(E, t)] = 2
+        return terms
+
+    monkeypatch.setattr(hopf, "lr_coproduct", doubled)
+    assert counit_check(2)
+    assert counit_check(3) == CheckResult(False, cherry)
+
+
+def test_antipode_reports_defect(monkeypatch):
+    # the law reads the public antipode: with the sign of S flipped at the
+    # first two-vertex tree t, m (S x id) Delta t = 2 (V1 * V1 - t) is nonzero
+    t = N(1, None, N(2))
+    true_antipode = hopf.antipode
+
+    def flipped(u):
+        terms = true_antipode(u)
+        return {w: -c for w, c in terms.items()} if u == t else terms
+
+    monkeypatch.setattr(hopf, "antipode", flipped)
+    assert antipode_check(1)
+    assert antipode_check(2) == CheckResult(False, t)
+
+
+def test_law_bound_errors(monkeypatch):
+    # the bound is checked before any tree is enumerated
+    def no_trees(n):
+        raise AssertionError("trees enumerated past the law bound")
+
+    monkeypatch.setattr(hopf, "enumerate_ordered_trees", no_trees)
+    for check in (coassociativity_check, counit_check, antipode_check):
+        with pytest.raises(BoundExceededError, match=f"max_size <= {MAX_LAW_SIZE}"):
+            check(MAX_LAW_SIZE + 1)
+        with pytest.raises(BoundExceededError):
+            check(99)
 
 
 def test_counit_projection():

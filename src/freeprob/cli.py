@@ -24,7 +24,7 @@ from . import cumulants as cumulants_mod
 from . import hopf as hopf_mod
 from . import partitions as partitions_mod
 from . import trees as trees_mod
-from .errors import FreeprobError, UsageError
+from .errors import BoundExceededError, FreeprobError, UsageError
 from .transforms import (
     G_eval,
     cf_eval,
@@ -50,8 +50,16 @@ def _parse_seq(text: str) -> list[Fraction]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _parse_grid(spec: str) -> list[complex]:
-    """'x0:x1:nx,y0:y1:ny' -> row-major complex grid points."""
+# Grid point bounds for `transform`: phi is the slowest op, at up to 72 ms a
+# point over a whole grid in binary64 (c = 9/10 near the axis; 400 points
+# took 28 s) and up to 1.2 s at --dps 30 (25 points took 25-26 s), so the
+# largest admitted grid takes about 30 s (2-core machine).
+MAX_GRID_POINTS = 400
+MAX_GRID_POINTS_DPS = 25
+
+
+def _parse_grid(spec: str, max_points: int) -> list[complex]:
+    """'x0:x1:nx,y0:y1:ny' -> row-major complex grid points, at most max_points."""
     try:
         xs_spec, ys_spec = spec.split(",")
         x0, x1, nx = xs_spec.split(":")
@@ -60,6 +68,8 @@ def _parse_grid(spec: str) -> list[complex]:
         x0, x1, y0, y1 = float(x0), float(x1), float(y0), float(y1)
     except ValueError as exc:
         raise ValueError(f"malformed grid spec {spec!r}; expected x0:x1:nx,y0:y1:ny") from exc
+    if nx * ny > max_points:
+        raise BoundExceededError(f"grid bound is nx * ny <= {max_points} points at this precision")
     xs = [x0 + (x1 - x0) * i / max(nx - 1, 1) for i in range(nx)]
     ys = [y0 + (y1 - y0) * j / max(ny - 1, 1) for j in range(ny)]
     return [complex(x, y) for y in ys for x in xs]
@@ -301,7 +311,8 @@ def _cmd_transform(args) -> int:
     c = Fraction(args.c)
     columns, evaluate = _TRANSFORM_OPS[args.op]
     header = ("re_z", "im_z", *columns)
-    rows = [(z.real, z.imag, *evaluate(c, z, args)) for z in _parse_grid(args.grid)]
+    grid = _parse_grid(args.grid, MAX_GRID_POINTS if args.dps is None else MAX_GRID_POINTS_DPS)
+    rows = [(z.real, z.imag, *evaluate(c, z, args)) for z in grid]
     _emit(args, [dict(zip(header, row)) for row in rows], rows, header)
     # a free-infinitely-divisible mu_c (c <= 0) has Im phi <= 0 on the upper half-plane
     finding = args.op == "phi" and c <= 0 and any(row[3] > 1e-8 for row in rows)

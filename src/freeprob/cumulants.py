@@ -352,13 +352,10 @@ def nc_innerpoint_sum(two_n: int) -> int:
     if two_n % 2:
         raise ValueError("two_n must be even")
     total = 0
-    for p in enumerate_pairings(two_n):
-        stats = statistics(p)
-        if stats.cr:
-            continue
+    for p in enumerate_pairings(two_n, LatticeKind.NONCROSSING):
         prod = 1
-        for block in p.blocks:
-            prod *= stats.ip[block] + 1
+        for a, b in p.blocks:
+            prod *= b - a  # the b - a - 1 inner points of the pair, plus one
         total += prod
     return total
 

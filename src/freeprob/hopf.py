@@ -52,6 +52,15 @@ __all__ = [
 
 MAX_ORDERED_ENUM = 7
 MAX_LAW_SIZE = 4
+# Single-operation bounds, checked before any work: the largest size at which
+# the slowest tree measured took under 20 s (2-core machine).  antipode: 8
+# vertices (5.7 s; 9 took 44 s); lr_coproduct: 16 (10.6 s; 17 took 25 s);
+# bf_coproduct: 17 (10.8 s; 18 took 22 s); lr_product: 19 vertices in both
+# factors together (18 s; 20 took 36 s).
+MAX_ANTIPODE_SIZE = 8
+MAX_COPRODUCT_SIZE = 16
+MAX_BF_COPRODUCT_SIZE = 17
+MAX_PRODUCT_SIZE = 19
 
 
 @dataclass(frozen=True)
@@ -124,6 +133,11 @@ def shift_labels(t: Tree, delta: int) -> Tree:
     if t is None:
         return None
     return LabeledTree(t.label + delta, shift_labels(t.left, delta), shift_labels(t.right, delta))
+
+
+def _require_size(n: int, bound: int, what: str) -> None:
+    if n > bound:
+        raise BoundExceededError(f"{what} bound is {bound} vertices")
 
 
 def _require_ordered(t: Tree) -> None:
@@ -212,7 +226,9 @@ def lr_product(s: Tree, t: Tree) -> dict:
 
     Computed by giving t labels above those of s (label-choice independence
     is exercised in the tests), so all terms carry canonical labels already.
+    Bound: size(s) + size(t) <= 19.
     """
+    _require_size(tree_size(s) + tree_size(t), MAX_PRODUCT_SIZE, "product")
     return dict(_closed_op(_prod_labeled, s, t, "product"))
 
 
@@ -236,7 +252,9 @@ def lr_coproduct(t: Tree) -> dict:
     """Coproduct of an ordered tree as a map (left, right) -> coefficient.
 
     Gradings add: size(left) + size(right) = size(t) in every term.
+    Bound: size(t) <= 16.
     """
+    _require_size(tree_size(t), MAX_COPRODUCT_SIZE, "coproduct")
     return _graded_tensor(_cop_labeled, t, "coproduct")
 
 
@@ -260,7 +278,9 @@ def _convolve(terms: dict, s) -> dict:
 
 def antipode(t: Tree) -> dict:
     """Antipode via the graded-connected recursion m (S x id) Delta t = 0,
-    S(t) = -t - sum of S(t_(1)) * t_(2) over proper coproduct terms."""
+    S(t) = -t - sum of S(t_(1)) * t_(2) over proper coproduct terms.
+    Bound: size(t) <= 8."""
+    _require_size(tree_size(t), MAX_ANTIPODE_SIZE, "antipode")
     if t is None:
         return {None: 1}
     rest = {k: c for k, c in lr_coproduct(t).items() if k != (t, None)}
@@ -394,7 +414,9 @@ def _bf_cop_labeled(t: Tree) -> Counter:
 
 
 def bf_coproduct(t: Tree) -> dict:
-    """Charge coproduct of an ordered tree; gradings add in every term."""
+    """Charge coproduct of an ordered tree; gradings add in every term.
+    Bound: size(t) <= 17."""
+    _require_size(tree_size(t), MAX_BF_COPRODUCT_SIZE, "charge coproduct")
     return _graded_tensor(_bf_cop_labeled, t, "charge coproduct")
 
 

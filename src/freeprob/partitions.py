@@ -195,10 +195,12 @@ def enumerate_partitions(n: int, kind: LatticeKind = LatticeKind.ALL) -> list[Pa
     return [_partition_from_rgs(rgs) for rgs in _rgs_iter(n, kind)]
 
 
-def enumerate_pairings(n: int) -> list[Partition]:
-    """All pairings (perfect matchings) of {1..n}; empty for odd n.
+def enumerate_pairings(n: int, kind: LatticeKind = LatticeKind.ALL) -> list[Partition]:
+    """All pairings (perfect matchings) of {1..n} of the given kind; empty for odd n.
 
-    Count is (n-1)!! for even n.  Bound: n <= 14.
+    Count is (n-1)!! for ALL, the Catalan number C(n/2) for NONCROSSING and
+    1 for INTERVAL.  Order: lexicographic in the canonical pair tuple.
+    Bound: n <= 14.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -206,6 +208,8 @@ def enumerate_pairings(n: int) -> list[Partition]:
         raise BoundExceededError(f"pairing enumeration bound is n <= {MAX_ENUM_PAIRING}")
     if n % 2:
         return []
+    if kind is not LatticeKind.ALL:
+        return [Partition._canonical(n, pairs) for pairs in _arc_pairings(1, n + 1, kind)]
 
     out: list[Partition] = []
     pairs: list[tuple[int, int]] = []
@@ -222,6 +226,20 @@ def enumerate_pairings(n: int) -> list[Partition]:
             pairs.pop()
 
     rec(tuple(range(1, n + 1)))
+    return out
+
+
+def _arc_pairings(lo: int, hi: int, kind: LatticeKind) -> list:
+    """Canonical pair tuples of the noncrossing (or interval) pairings of
+    lo..hi-1: lo pairs with some j, every element between pairs inside
+    (lo, j) and every later one after j, so no pair can cross (lo, j).
+    An interval pairing takes j = lo + 1 only."""
+    if lo == hi:
+        return [()]
+    out = []
+    for j in range(lo + 1, hi, 2) if kind is LatticeKind.NONCROSSING else (lo + 1,):
+        outers = _arc_pairings(j + 1, hi, kind)
+        out.extend(((lo, j),) + inner + outer for inner in _arc_pairings(lo + 1, j, kind) for outer in outers)
     return out
 
 

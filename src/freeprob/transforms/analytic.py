@@ -212,8 +212,9 @@ def _phi_pair(c, z, dps: Optional[int] = None):
         po += odd_term
         dpe += (2 * k) * even_term / w
         dpo += (2 * k + 1) * odd_term / w
-        scale = max(scale, abs(pe), abs(po), abs(even_term), abs(odd_term))
-        if abs(even_term) + abs(odd_term) < eps * scale and k > hump:
+        even_abs, odd_abs = abs(even_term), abs(odd_term)
+        scale = max(scale, abs(pe), abs(po), even_abs, odd_abs)
+        if even_abs + odd_abs < eps * scale and k > hump:
             quiet += 1
             if quiet >= 3:
                 break
@@ -287,15 +288,16 @@ def _series_phi(c: Fraction, w, dps: Optional[int]):
     return phi, dphi, max(float(scale), float(abs(rho) * scale))
 
 
-def _series_G_value(c: Fraction, w, dps: Optional[int]):
+def _series_G_value(c: Fraction, w, dps: Optional[int], series=None):
     """(G or None, cancellation ratio) via the entire-series branch; c != -1.
+    series, when given, is _series_phi(c, w, dps) already summed (c != 0).
 
     Pole detection is left to the caller: a value is only trustworthy when
     the caller accepts the cancellation ratio, so no pole is signalled here.
     """
     if c == 0:
         return _gauss_G(w, dps=dps)
-    phi, dphi, mix_scale = _series_phi(c, w, dps)
+    phi, dphi, mix_scale = series or _series_phi(c, w, dps)
     cval = _real(c, _mp(dps))
     if abs(phi) == 0:
         return None, math.inf
@@ -334,12 +336,18 @@ def G_eval(c, z, dps: Optional[int] = None):
     c = Fraction(c)
     if c < -1:
         raise ValueError("parameter must satisfy c >= -1")
+    return _routed_G(c, z, dps)
+
+
+def _routed_G(c: Fraction, z, dps: Optional[int], series=None):
+    """G_eval on a checked c; series, when given, is _series_phi(c, z, dps)
+    already summed at the lifted z, so it is not summed again."""
     mp_mod = _mp(dps)
     w = _lift(z, mp_mod)
     if c == -1:
         return 1 / w
     if _series_overflow_safe(w, dps):
-        value, cancel = _series_G_value(c, w, dps)
+        value, cancel = _series_G_value(c, w, dps, series)
         if _series_trusted(cancel, w, dps):
             # for c != 0 the series branch is singular only at zeros of phi,
             # so a huge trustworthy value means a genuine pole (c = 0 has
@@ -358,7 +366,8 @@ def G_eval(c, z, dps: Optional[int] = None):
 
 @_scoped
 def F_eval(c, z, dps: Optional[int] = None):
-    """Reciprocal transform F = 1/G, via -c phi / phi' on the series branch."""
+    """Reciprocal transform F = 1/G, via -c phi / phi' on the series branch;
+    where that quotient loses too many digits, 1/G by G_eval's routes."""
     c = Fraction(c)
     if c < -1:
         raise ValueError("parameter must satisfy c >= -1")
@@ -366,13 +375,14 @@ def F_eval(c, z, dps: Optional[int] = None):
     w = _lift(z, mp_mod)
     if c == -1:
         return w
+    series = None
     if c != 0 and _series_overflow_safe(w, dps):
-        phi, dphi, mix_scale = _series_phi(c, w, dps)
+        phi, dphi, mix_scale = series = _series_phi(c, w, dps)
         if abs(dphi) > 0 and _series_trusted(mix_scale / float(abs(dphi)), w, dps):
             if abs(phi) == 0:
                 return 0 * w
             return -_real(c, mp_mod) * phi / dphi
-    return 1 / G_eval(c, w, dps=dps)
+    return 1 / _routed_G(c, w, dps, series)
 
 
 # ------------------------------------------------------------ residual checks
@@ -467,11 +477,13 @@ def voiculescu_phi(c, z, tol: float = 1e-11, dps: Optional[int] = None):
         t /= 2
     targets.append(z)
     w = targets[0]  # F(w) ~ w high up
+    # F depends on w alone, so fw = F(w) is carried from stage to stage and
+    # from each accepted trial: F is evaluated once per point visited
+    fw = F_eval(c, w, dps=dps)
     last_good = None
     for target in targets:
         converged = False
         for _ in range(100):
-            fw = F_eval(c, w, dps=dps)
             residual = abs(fw - target)
             if residual <= tol * (1 + abs(target)):
                 converged = True
@@ -483,9 +495,9 @@ def voiculescu_phi(c, z, tol: float = 1e-11, dps: Optional[int] = None):
             step_scale = 1.0
             for _ in range(50):
                 trial = w - step_scale * full
-                trial_res = abs(F_eval(c, trial, dps=dps) - target)
-                if trial_res < residual:
-                    w = trial
+                f_trial = F_eval(c, trial, dps=dps)
+                if abs(f_trial - target) < residual:
+                    w, fw = trial, f_trial
                     break
                 step_scale /= 2
             else:

@@ -18,6 +18,7 @@ from freeprob.transforms import (
     riccati_residual,
     voiculescu_phi,
 )
+from freeprob.transforms import analytic
 
 # the fixed 25-point upper-half-plane grid used by the acceptance suite
 GRID = [complex(x, y) for x in (-2, -1, 0, 1, 2) for y in (0.6, 1.0, 1.6, 2.2, 3.0)]
@@ -218,6 +219,62 @@ def test_voiculescu_positive_c_exploration():
         phi = voiculescu_phi(F(1, 2), z, tol=1e-10)
         margins.append(phi.imag)
     assert all(math.isfinite(m) for m in margins)
+
+
+def _counting(monkeypatch, name, points):
+    """Replace analytic.<name>(c, z, ...) by a wrapper appending each (c, z)."""
+    inner = getattr(analytic, name)
+
+    def counted(c, z, *args, **kwargs):
+        points.append((c, z))
+        return inner(c, z, *args, **kwargs)
+
+    monkeypatch.setattr(analytic, name, counted)
+
+
+def test_voiculescu_evaluates_f_once_per_point(monkeypatch):
+    # F depends on the point alone: a stage's start and an accepted trial
+    # reuse the value already computed there
+    points = []
+    _counting(monkeypatch, "F_eval", points)
+    for c in (F(-1, 2), F(1, 2), F(0)):
+        for z in (0.3 + 1j, -1 + 0.5j, 2 + 0.2j):
+            voiculescu_phi(c, z)
+    assert len(points) > 100
+    assert len(points) == len(set(points))
+
+
+def test_f_eval_fallback_sums_the_series_once(monkeypatch):
+    # at this point -c phi / phi' loses too many digits, so F_eval falls back
+    # to 1/G, which must reuse the series F_eval has already summed
+    c, w = F(-1, 2), 20 + 10j
+    analytic._phi_mixture_ratio(c, None)  # the z = 10i calibration, summed apart
+    sums, fractions = [], []
+    _counting(monkeypatch, "_phi_pair", sums)
+    _counting(monkeypatch, "cf_eval", fractions)
+    value = F_eval(c, w)
+    assert [z for _, z in fractions] == [w]  # the fallback route was taken
+    assert [z for _, z in sums] == [w]
+    assert abs(value * cf_eval(c, w) - 1) < 1e-12
+
+
+def test_voiculescu_pinned_values():
+    # recorded before F values were reused: the reuse must not move a bit
+    pins = {
+        (F(-1, 2), 0.3 + 1j): "(0.05653348330196273-0.3290169566171539j)",
+        (F(-1, 2), 2 + 0.2j): "(0.2744207104424303-0.10567601132465322j)",
+        (F(1, 2), -1 + 0.5j): "(-0.7639628840568224-0.8220648120078223j)",
+        (F(0), 1j): "-0.6973691592884277j",
+        (F(-3, 4), 2 + 0.2j): "(0.1400992495423803-0.053475347216512675j)",
+    }
+    for (c, z), expected in pins.items():
+        assert repr(voiculescu_phi(c, z)) == expected, (c, z)
+    assert repr(voiculescu_phi(F(1, 2), 2 + 0.2j, tol=1e-8)) == (
+        "(0.7731114786579178-0.3013630532515589j)"
+    )
+    assert repr(voiculescu_phi(F(-1, 2), 0.3 + 1j, dps=30)) == (
+        "mpc(real='0.056533483301961784', imag='-0.32901695661715613')"
+    )
 
 
 def test_f_trajectory_shape_checks():

@@ -7,8 +7,10 @@ import sys
 import pytest
 
 import freeprob
-from freeprob.cli import build_parser, main
+from freeprob import cli
+from freeprob.cli import MAX_GRID_POINTS, MAX_GRID_POINTS_DPS, build_parser, main
 from freeprob.cumulants import MAX_FREE_SERIES_ORDER
+from freeprob.hopf import MAX_ANTIPODE_SIZE
 
 
 def run(capsys, *argv):
@@ -242,6 +244,33 @@ def test_input_beyond_reach_exit_one(capsys, argv, error):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"]["type"] == error
+
+
+def test_grid_and_tree_bounds_exit_one(capsys, monkeypatch):
+    # no point of a grid above its bound is evaluated
+    def no_points(c, z, args):
+        raise AssertionError("a point was evaluated past the grid bound")
+
+    monkeypatch.setitem(cli._TRANSFORM_OPS, "g", (("re_g", "im_g"), no_points))
+    chain = [1]  # a left chain one vertex above the antipode bound
+    for k in range(2, MAX_ANTIPODE_SIZE + 2):
+        chain = [k, chain, None]
+    for argv in (
+        ["transform", "--c=0", f"--grid=-2:2:{MAX_GRID_POINTS + 1},1:2:1"],
+        ["transform", "--c=0", "--grid=-2:2:100000000,1:2:100000000"],
+        ["transform", "--c=0", f"--grid=-2:2:{MAX_GRID_POINTS_DPS + 1},1:2:1", "--dps", "30"],
+        ["hopf", "antipode", "--tree", json.dumps(chain)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["type"] == "BoundExceededError"
+    # the largest grids admitted reach their points
+    for argv in (
+        ["transform", "--c=0", f"--grid=-2:2:{MAX_GRID_POINTS},1:2:1"],
+        ["transform", "--c=0", f"--grid=-2:2:{MAX_GRID_POINTS_DPS},1:2:1", "--dps", "30"],
+    ):
+        with pytest.raises(AssertionError, match="past the grid bound"):
+            main(argv)
 
 
 @pytest.mark.parametrize(

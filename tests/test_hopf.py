@@ -8,7 +8,11 @@ from freeprob import hopf
 from freeprob.errors import BoundExceededError
 from freeprob.trees import count_anti_increasing_labelings, enumerate_trees
 from freeprob.hopf import (
+    MAX_ANTIPODE_SIZE,
+    MAX_BF_COPRODUCT_SIZE,
+    MAX_COPRODUCT_SIZE,
     MAX_LAW_SIZE,
+    MAX_PRODUCT_SIZE,
     CheckResult,
     LabeledTree,
     antipode,
@@ -308,6 +312,40 @@ def test_law_bound_errors(monkeypatch):
             check(MAX_LAW_SIZE + 1)
         with pytest.raises(BoundExceededError):
             check(99)
+
+
+def _left_chain(n):
+    t = None
+    for k in range(1, n + 1):
+        t = N(k, t, None)
+    return t
+
+
+def test_single_operation_bound_errors(monkeypatch):
+    # the bound is checked before any work: at the bound the work starts (and
+    # meets the tripwire on its first step, the operand check), one vertex
+    # above it BoundExceededError is raised
+    class Reached(Exception):
+        pass
+
+    def tripwire(t):
+        raise Reached
+
+    monkeypatch.setattr(hopf, "_require_ordered", tripwire)
+    cases = [
+        (antipode, MAX_ANTIPODE_SIZE, 0),
+        (lr_coproduct, MAX_COPRODUCT_SIZE, 0),
+        (bf_coproduct, MAX_BF_COPRODUCT_SIZE, 0),
+        (lambda t: lr_product(t, N(1)), MAX_PRODUCT_SIZE, 1),  # the right factor's vertex
+    ]
+    for op, bound, other in cases:
+        with pytest.raises(Reached):
+            op(_left_chain(bound - other))
+        with pytest.raises(BoundExceededError, match=f"bound is {bound} vertices"):
+            op(_left_chain(bound - other + 1))
+    # the benchmark's operands have at most 5 vertices each
+    assert min(MAX_ANTIPODE_SIZE, MAX_COPRODUCT_SIZE, MAX_BF_COPRODUCT_SIZE) >= 5
+    assert MAX_PRODUCT_SIZE >= 10
 
 
 def test_counit_projection():

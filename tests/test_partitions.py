@@ -105,6 +105,21 @@ def test_pairing_counts_double_factorial():
     assert len(enumerate_pairings(6)) == 15
 
 
+def test_restricted_pairings_match_the_filter():
+    # generated directly, in the order of the filtered full enumeration,
+    # and already canonical
+    for n in range(2, 13, 2):
+        pairings = enumerate_pairings(n)
+        for kind, flag in ((NC, "noncrossing"), (INT, "interval")):
+            direct = enumerate_pairings(n, kind)
+            assert direct == [p for p in pairings if getattr(classify(p), flag)]
+            assert all(Partition(p.n, p.blocks).blocks == p.blocks for p in direct)
+        assert len(enumerate_pairings(n, NC)) == math.comb(n, n // 2) // (n // 2 + 1)
+    assert enumerate_pairings(3, NC) == []
+    with pytest.raises(BoundExceededError):
+        enumerate_pairings(16, NC)
+
+
 def test_classify_examples():
     f = classify(Partition.of(4, [[1, 3], [2, 4]]))
     assert f.connected and f.irreducible and not f.noncrossing

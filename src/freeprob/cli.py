@@ -53,9 +53,11 @@ def _parse_seq(text: str) -> list[Fraction]:
 # Grid point bounds for `transform`: phi is the slowest op, at up to 72 ms a
 # point over a whole grid in binary64 (c = 9/10 near the axis; 400 points
 # took 28 s) and up to 1.2 s at --dps 30 (25 points took 25-26 s), so the
-# largest admitted grid takes about 30 s (2-core machine).
+# largest admitted grid takes about 30 s (2-core machine).  --dps is held at
+# 30, where that was measured (a phi point costs 2 s at --dps 120), and >= 1.
 MAX_GRID_POINTS = 400
 MAX_GRID_POINTS_DPS = 25
+MAX_DPS = 30
 
 
 def _parse_grid(spec: str, max_points: int) -> list[complex]:
@@ -311,6 +313,8 @@ def _cmd_transform(args) -> int:
     c = Fraction(args.c)
     columns, evaluate = _TRANSFORM_OPS[args.op]
     header = ("re_z", "im_z", *columns)
+    if args.dps is not None and not 1 <= args.dps <= MAX_DPS:
+        raise BoundExceededError(f"precision bound is 1 <= --dps <= {MAX_DPS}")
     grid = _parse_grid(args.grid, MAX_GRID_POINTS if args.dps is None else MAX_GRID_POINTS_DPS)
     rows = [(z.real, z.imag, *evaluate(c, z, args)) for z in grid]
     _emit(args, [dict(zip(header, row)) for row in rows], rows, header)

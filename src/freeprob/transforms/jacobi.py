@@ -9,14 +9,17 @@ to the point mass at 0 for c = -1.
 jacobi_from_moments is the modified-Chebyshev / quotient-difference scheme
 on the inner-product table sigma[k][l] = <P_k, x^l>; its diagonal pivots are
 ratios of consecutive Hankel determinants, so the first nonpositive pivot
-locates the first nonpositive Hankel determinant exactly.  pivot_signs runs
-the same recursion in outward-rounded decimal interval arithmetic when only
-the signs are wanted, and falls back to the exact scan when an interval
-cannot decide.
+locates the first nonpositive Hankel determinant exactly.  One online scan
+fills the table by anti-diagonal and stops at that pivot; when every odd
+moment is 0 it fills only the even anti-diagonals.  pivot_signs runs the
+same scan in outward-rounded decimal interval arithmetic when only the
+signs are wanted, and falls back to the exact scan when an interval cannot
+decide.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
@@ -145,7 +148,8 @@ def jacobi_from_moments(moments: Sequence, depth: Optional[int] = None) -> Jacob
     beta_k = sigma[k][k]/sigma[k-1][k-1].
     Stops at the first nonpositive diagonal pivot instead of raising.
     """
-    return _sigma_scan([Fraction(x) for x in moments], depth, _sign)
+    values = [Fraction(x) for x in moments]
+    return _sigma_scan(values, depth, _sign, not any(values[1::2]))
 
 
 @dataclass(frozen=True)
@@ -170,14 +174,16 @@ def pivot_signs(moments: Sequence, depth: int) -> PivotSigns:
     depth), each sign certified, never guessed.
 
     The moments are converted once to outward-rounded decimal intervals and
-    the same sigma-table recursion runs on them at 2 * depth + 20 digits
-    (about 6.6 bits per level).  A pivot's sign counts only when its
+    the same online sigma-table scan runs on them at 2 * depth + 20 digits
+    (about 6.6 bits per level); whether it fills only the even half is
+    decided on the exact moments.  A pivot's sign counts only when its
     interval lies strictly on one side of 0 or is exactly [0, 0].  If some
     pivot's interval straddles 0, the scan reruns at doubled precision, up
     to _INTERVAL_DOUBLINGS times, and then falls back to the exact Fraction
     scan.
     """
     exact = [Fraction(x) for x in moments]
+    symmetric = not any(exact[1::2])
     precision = 2 * depth + 20
     for _ in range(_INTERVAL_DOUBLINGS + 1):
         # private round-down and round-up contexts: the thread's decimal
@@ -187,7 +193,8 @@ def pivot_signs(moments: Sequence, depth: int) -> PivotSigns:
             for rounding in (ROUND_FLOOR, ROUND_CEILING)
         )
         try:
-            fit = _sigma_scan([_Interval.exact(x, ctx) for x in exact], depth, _interval_sign)
+            intervals = [_Interval.exact(x, ctx) for x in exact]
+            fit = _sigma_scan(intervals, depth, _interval_sign, symmetric)
         except _Undecided:
             precision *= 2
             continue
@@ -256,9 +263,13 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sigma_scan(values: list, depth: Optional[int], sign) -> JacobiFit:
+def _sigma_scan(values: list, depth: Optional[int], sign, symmetric: bool) -> JacobiFit:
     """The sigma-table recursion of jacobi_from_moments over `values`, in
-    whatever arithmetic they carry; `sign` maps a pivot to -1, 0 or 1."""
+    whatever arithmetic they carry; `sign` maps a pivot to -1, 0 or 1.
+    One online pass fills the table by anti-diagonal m = k + l, keeping only
+    m - 1 and m - 2, and stops at the first nonpositive pivot.  `symmetric`
+    (every odd moment is exactly 0) makes alpha and each sigma[k][l] with
+    k + l odd exactly 0, so only even anti-diagonals are filled."""
     if not values:
         raise ValueError("moment list is empty")
     top = len(values) - 1
@@ -267,8 +278,6 @@ def _sigma_scan(values: list, depth: Optional[int], sign) -> JacobiFit:
     if 2 * depth > top:
         raise BoundExceededError(f"depth {depth} needs {2 * depth + 1} moments, have {top + 1}")
 
-    prev = list(values)  # sigma_0 row over l = 0..top
-    prev2: list = [0] * (top + 1)  # sigma_{-1} = 0
     pivots = [values[0]]
     alpha: list = []
     beta: list = []
@@ -276,19 +285,27 @@ def _sigma_scan(values: list, depth: Optional[int], sign) -> JacobiFit:
         return JacobiFit(alpha, beta, pivots, 0, s)
     if top >= 1:
         alpha.append(values[1] / values[0])
-    for k in range(1, depth + 1):
-        a, b = alpha[k - 1], beta[k - 2] if k >= 2 else 0
-        # entries below l = k are never read again
-        row = [None] * k + [prev[l + 1] - a * prev[l] - b * prev2[l] for l in range(k, top - k + 1)]
-        pivot = row[k]
-        pivots.append(pivot)
-        if (s := sign(pivot)) <= 0:
-            return JacobiFit(alpha[: len(beta)], beta, pivots, k, s)
-        beta.append(pivot / pivots[k - 1])
-        if k <= (top - 1) // 2 and k < depth:
-            alpha.append(row[k + 1] / pivot - prev[k] / pivots[k - 1])
-        prev2, prev = prev, row
-    # drop the seed alpha entries beyond the computed beta depth
+    # anti-diagonals m - 2 and m - 1, indexed by k: old[k] = sigma[k][m - 1 - k]
+    older, old = [values[0]], values[1:2]
+    for m in range(2, 2 * depth + 1):
+        k = m // 2
+        if symmetric and m % 2:
+            alpha.append(values[m])  # alpha_k = 0, in the arithmetic of values
+            older, old = old, []
+            continue
+        diag = [values[m]]
+        for j in range(1, k + 1):
+            x = diag[j - 1] if symmetric else diag[j - 1] - alpha[j - 1] * old[j - 1]
+            diag.append(x - beta[j - 2] * older[j - 2] if j > 1 else x)
+        if m % 2:
+            alpha.append(diag[k] / pivots[k] - older[k - 1] / pivots[k - 1])
+        else:
+            pivots.append(diag[k])
+            if (s := sign(diag[k])) <= 0:
+                return JacobiFit(alpha[: len(beta)], beta, pivots, k, s)
+            beta.append(diag[k] / pivots[k - 1])
+        older, old = old, diag
+    # drop the alpha entries beyond the computed beta depth
     return JacobiFit(alpha[: len(beta)], beta, pivots, None, None)
 
 
@@ -313,10 +330,4 @@ def hankel_sign_from_pivots(fit: JacobiFit, k: int) -> int:
     H_k = prod of the first k+1 diagonal pivots."""
     if k + 1 > len(fit.pivots):
         raise BoundExceededError(f"pivot table only covers k <= {len(fit.pivots) - 1}")
-    sign = 1
-    for pivot in fit.pivots[: k + 1]:
-        s = _sign(pivot)
-        if s == 0:
-            return 0
-        sign *= s
-    return sign
+    return math.prod(_sign(pivot) for pivot in fit.pivots[: k + 1])

@@ -8,7 +8,7 @@ import pytest
 
 import freeprob
 from freeprob import cli
-from freeprob.cli import MAX_GRID_POINTS, MAX_GRID_POINTS_DPS, build_parser, main
+from freeprob.cli import MAX_DPS, MAX_GRID_POINTS, MAX_GRID_POINTS_DPS, build_parser, main
 from freeprob.cumulants import MAX_FREE_SERIES_ORDER
 from freeprob.hopf import MAX_ANTIPODE_SIZE
 
@@ -271,6 +271,28 @@ def test_grid_and_tree_bounds_exit_one(capsys, monkeypatch):
     ):
         with pytest.raises(AssertionError, match="past the grid bound"):
             main(argv)
+
+
+def test_dps_bound_exit_one(capsys, monkeypatch):
+    # --dps outside 1..MAX_DPS fails before any point is evaluated
+    argv = ["transform", "--c=-1/2", "--grid=1:1:1,1:1:1", "--op", "phi"]
+
+    def no_points(c, z, args):
+        raise AssertionError("a point was evaluated past the precision bound")
+
+    for dps in (MAX_DPS + 1, 0, -5):
+        with monkeypatch.context() as patch:
+            patch.setitem(cli._TRANSFORM_OPS, "phi", (("re_phi", "im_phi"), no_points))
+            code, out, err = run(capsys, *argv, "--dps", str(dps))
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "BoundExceededError"
+        assert str(MAX_DPS) in error["message"]
+    # the bound itself still runs
+    code, doc, _ = run_json(capsys, *argv, "--dps", str(MAX_DPS))
+    assert code == 0
+    assert doc["config"]["dps"] == MAX_DPS == 30
+    assert len(doc["result"]) == 1
 
 
 @pytest.mark.parametrize(

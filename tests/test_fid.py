@@ -9,7 +9,7 @@ from freeprob.cumulants import (
 )
 from freeprob.errors import BoundExceededError
 from freeprob.partitions import count_connected_pairings
-from freeprob.transforms.fid import MAX_C_BITS
+from freeprob.transforms.fid import MAX_C_BITS, _free_cumulants
 from freeprob.transforms import (
     fid_test,
     formal_phi_ode_check,
@@ -55,6 +55,36 @@ def test_exactness_chain_c0_reproduces_connected_pairings():
         assert fc[two_n] == count_connected_pairings(two_n)
 
 
+def fraction_free_cumulants(c, order):
+    """Oracle: the recursion of the module docstring on Fractions, term by term."""
+    r = [F(0)] * max(order, 2)
+    if order >= 2:
+        r[1] = c + 1
+    for m in range(2, order - 1, 2):
+        acc = (m - 1) * r[m - 1]
+        for i in range(3, m, 2):
+            acc += (m - i) * r[i] * r[m - i]
+        r[m + 1] = acc
+    fc = [F(0)] * (order + 1)
+    for n in range(1, order + 1):
+        fc[n] = r[n - 1]
+    return fc
+
+
+@pytest.mark.parametrize(
+    "c",
+    [F(0), F(-1), F(-1, 2), F(9, 10), F(3), F(2, 5), pytest.param(F(2**128 - 159, 2**127 + 1), id="128-bit")],
+    ids=str,
+)
+def test_integer_cumulant_recursion_matches_fraction_oracle(c):
+    # the 128-bit c stops at order 120: the oracle takes over 20 s at 402
+    big = max(c.numerator.bit_length(), c.denominator.bit_length()) == MAX_C_BITS
+    for order in (0, 1, 2, 3, 30, 120 if big else 402):
+        fc = _free_cumulants(c, order)
+        assert fc == fraction_free_cumulants(c, order)
+        assert all(type(x) is F for x in fc)
+
+
 def test_shifted_sequence_gaussian():
     assert shifted_sequence_of_mu_c(0, 12) == [F(x) for x in gaussian_shifted_sequence(12)]
 
@@ -84,11 +114,18 @@ def test_fid_headline_failure_indices():
 
 def test_fid_failure_ordinal_decreases_in_c():
     # exploratory scan: the first failing Hankel index shrinks as c grows
-    # (frozen after one computation; c = 1/2 still passes through depth 150)
-    expected = {F(3, 4): 131, F(3, 2): 47, F(2): 33, F(3): 23}
+    # (frozen after one computation; c = 1/2 still passes through depth 150);
+    # c -> (ordinal, order), and c = 3/5 needs depth 191, so order 400
+    expected = {
+        F(3, 5): (191, 400),
+        F(3, 4): (131, 300),
+        F(3, 2): (47, 300),
+        F(2): (33, 300),
+        F(3): (23, 300),
+    }
     ordinals = {}
-    for c, ordinal in expected.items():
-        report = fid_test(c, 300)
+    for c, (ordinal, order) in expected.items():
+        report = fid_test(c, order)
         assert report.verdict == "FAIL"
         assert report.ordinal == ordinal
         ordinals[c] = report.ordinal

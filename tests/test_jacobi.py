@@ -1,3 +1,4 @@
+import decimal
 import math
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ import pytest
 from freeprob.cumulants import free_from_moments, gaussian_shifted_sequence, moments_from_free
 from freeprob.errors import BoundExceededError
 from freeprob.transforms import (
+    JacobiFit,
     JacobiParams,
     hankel_sign,
     hankel_sign_from_pivots,
@@ -15,6 +17,7 @@ from freeprob.transforms import (
     pivot_signs,
     shifted_sequence_of_mu_c,
 )
+from freeprob.transforms import jacobi
 
 
 def gauss_moments(n):
@@ -214,3 +217,142 @@ def test_pivot_signs_leave_global_precision_alone():
     before = state()
     pivot_signs(shifted_sequence_of_mu_c(F(9, 10), 60), 30)
     assert state() == before
+
+
+def full_width_sigma_scan(values: list, depth, sign) -> JacobiFit:
+    """Oracle: the sigma-table recursion row by row, each row k filled out to
+    l = top - k before its pivot is read."""
+    if not values:
+        raise ValueError("moment list is empty")
+    top = len(values) - 1
+    if depth is None:
+        depth = top // 2
+    if 2 * depth > top:
+        raise BoundExceededError(f"depth {depth} needs {2 * depth + 1} moments, have {top + 1}")
+
+    prev = list(values)  # sigma_0 row over l = 0..top
+    prev2: list = [0] * (top + 1)  # sigma_{-1} = 0
+    pivots = [values[0]]
+    alpha: list = []
+    beta: list = []
+    if (s := sign(values[0])) <= 0:
+        return JacobiFit(alpha, beta, pivots, 0, s)
+    if top >= 1:
+        alpha.append(values[1] / values[0])
+    for k in range(1, depth + 1):
+        a, b = alpha[k - 1], beta[k - 2] if k >= 2 else 0
+        # entries below l = k are never read again
+        row = [None] * k + [prev[l + 1] - a * prev[l] - b * prev2[l] for l in range(k, top - k + 1)]
+        pivot = row[k]
+        pivots.append(pivot)
+        if (s := sign(pivot)) <= 0:
+            return JacobiFit(alpha[: len(beta)], beta, pivots, k, s)
+        beta.append(pivot / pivots[k - 1])
+        if k <= (top - 1) // 2 and k < depth:
+            alpha.append(row[k + 1] / pivot - prev[k] / pivots[k - 1])
+        prev2, prev = prev, row
+    # drop the seed alpha entries beyond the computed beta depth
+    return JacobiFit(alpha[: len(beta)], beta, pivots, None, None)
+
+
+def _oracle_sequences():
+    """About 400 seeded moment sequences, half of them symmetric, with
+    breakdowns at k = 0, k = 1 and mid-table, exact zero pivots with and
+    without a finite decimal expansion, and asymmetric Jacobi data."""
+    import random
+
+    rng = random.Random(2024)
+
+    def ratio(lo, hi, den=6):
+        return F(rng.randint(lo, hi), rng.randint(1, den))
+
+    def jacobi_moments(symmetric, depth):
+        alpha = tuple(F(0) if symmetric else ratio(-6, 6) for _ in range(depth))
+        beta = tuple(ratio(1, 30) for _ in range(depth))
+        return moments_from_jacobi(JacobiParams(alpha, beta), 2 * depth)
+
+    def atomic_moments(symmetric, atoms, order):
+        points = [ratio(1, 9, 4) for _ in range(atoms)]
+        weights = [F(rng.randint(1, 5)) for _ in points]
+        if symmetric:
+            points, weights = points + [-x for x in points], weights * 2
+        else:
+            points = [x * rng.choice((1, -1)) for x in points]
+        return [sum(w * x**n for w, x in zip(weights, points)) for n in range(order + 1)]
+
+    cases = [
+        ([F(1)] * 9, 4),  # point mass at 1: H_1 = [0, 0] exactly
+        ([F(1, 9 ** (n // 2)) if n % 2 == 0 else F(0) for n in range(9)], 4),  # +-1/3
+    ]
+    for i in range(398):
+        symmetric = i % 2 == 0
+        kind = (i // 2) % 7
+        depth = rng.randint(1, 12)
+        if kind <= 2:
+            m = jacobi_moments(symmetric, depth)
+            if kind == 1:  # breakdown mid-table
+                n = 2 * rng.randint(1, depth)
+                m[n] = m[n] * ratio(-3, 3, 2) if rng.random() < 0.5 else -m[n]
+        elif kind == 3:  # exact zero pivots beyond the support
+            m = atomic_moments(symmetric, rng.randint(1, 4), 2 * depth)
+        elif kind == 4:  # breakdown at k = 0
+            m = jacobi_moments(symmetric, depth)
+            m[0] = F(rng.randint(-3, 0))
+        elif kind == 5:  # breakdown at k = 1: m_0 m_2 - m_1^2 <= 0
+            m = jacobi_moments(symmetric, depth)
+            m[2] = (m[1] ** 2 - rng.randint(0, 2)) / m[0]
+        else:  # random small entries
+            m = [F(1)] + [ratio(-4, 9) for _ in range(2 * depth)]
+            if symmetric:
+                m[1::2] = [F(0)] * depth
+        cases.append((m, depth))
+    return cases
+
+
+def test_online_scan_matches_full_width_oracle(monkeypatch):
+    cases = _oracle_sequences()
+    assert sum(not any(m[1::2]) for m, _ in cases) >= len(cases) // 2
+    breakdowns = set()
+    for m, depth in cases:
+        fit = jacobi_from_moments(m, depth)
+        want = full_width_sigma_scan(list(m), depth, _sign)
+        for got_list, want_list in ((fit.alpha, want.alpha), (fit.beta, want.beta), (fit.pivots, want.pivots)):
+            assert got_list == want_list
+            assert [type(x) for x in got_list] == [type(x) for x in want_list]
+        assert (fit.breakdown_index, fit.breakdown_sign) == (want.breakdown_index, want.breakdown_sign)
+        breakdowns.add(fit.breakdown_index)
+    assert {None, 0, 1} <= breakdowns and len(breakdowns) > 5
+
+    # the interval tables agree endpoint for endpoint (a zero endpoint may
+    # differ in the sign of the zero); an undecided pivot is undecided in both
+    for m, depth in cases:
+        ctx = tuple(
+            decimal.Context(prec=2 * depth + 20, rounding=r, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+            for r in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING)
+        )
+        intervals = [jacobi._Interval.exact(x, ctx) for x in m]
+        fits = []
+        for scan in (
+            lambda: jacobi._sigma_scan(intervals, depth, jacobi._interval_sign, not any(m[1::2])),
+            lambda: full_width_sigma_scan(intervals, depth, jacobi._interval_sign),
+        ):
+            try:
+                fit = scan()
+            except jacobi._Undecided:
+                fits.append(None)
+                continue
+            ends = [[(x.lo, x.hi) for x in xs] for xs in (fit.alpha, fit.beta, fit.pivots)]
+            fits.append((ends, fit.breakdown_index, fit.breakdown_sign))
+        assert fits[0] == fits[1]
+
+    got = [pivot_signs(m, depth) for m, depth in cases]
+    monkeypatch.setattr(
+        jacobi, "_sigma_scan", lambda values, depth, sign, symmetric: full_width_sigma_scan(values, depth, sign)
+    )
+    want = [pivot_signs(m, depth) for m, depth in cases]
+    assert [(p.signs, p.breakdown_index, p.precision) for p in got] == [
+        (p.signs, p.breakdown_index, p.precision) for p in want
+    ]
+    # both exact [0, 0] interval pivots and the exact fallback occur
+    assert got[0].precision is not None and got[1].precision is None
+    assert any(p.precision is None for p in got[2:])

@@ -17,7 +17,7 @@ total tree factorial s_{2n} (1, 1, 4, 27, 248, ...).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -53,21 +53,29 @@ __all__ = [
 MAX_ORDERED_ENUM = 7
 MAX_LAW_SIZE = 4
 # Single-operation bounds, checked before any work: the largest size at which
-# the slowest tree measured took under 20 s (2-core machine).  antipode: 8
-# vertices (5.7 s; 9 took 44 s); lr_coproduct: 16 (10.6 s; 17 took 25 s);
-# bf_coproduct: 17 (10.8 s; 18 took 22 s); lr_product: 19 vertices in both
-# factors together (18 s; 20 took 36 s).
-MAX_ANTIPODE_SIZE = 8
+# the slowest tree measured took under 20 s (2-core machine).  antipode: 9
+# vertices (6.2 s balanced; 10 took 29 s balanced); lr_coproduct: 16 (10.6 s;
+# 17 took 25 s); bf_coproduct: 17 (6.5 s; 18 took 16.6 s, too close to keep);
+# lr_product: 19 vertices in both factors together (18 s; 20 took 36 s).
+MAX_ANTIPODE_SIZE = 9
 MAX_COPRODUCT_SIZE = 16
 MAX_BF_COPRODUCT_SIZE = 17
 MAX_PRODUCT_SIZE = 19
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledTree:
     label: int
     left: "Optional[LabeledTree]" = None
     right: "Optional[LabeledTree]" = None
+    # hash((label, left, right)) from the children's stored hashes, taken once
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.label, self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Tree = Optional[LabeledTree]
@@ -146,10 +154,8 @@ def _require_ordered(t: Tree) -> None:
 
 
 def _closed_op(op, s: Tree, t: Tree, what: str):
-    """op(s, t') on ordered s and t, with t' the tree t relabeled above the
-    labels of s; every term of the result must be anti-increasing."""
-    _require_ordered(s)
-    _require_ordered(t)
+    """op(s, t') on ordered s and t (checked by the caller), with t' the tree
+    t relabeled above the labels of s; every term must be anti-increasing."""
     terms = op(s, shift_labels(t, tree_size(s)))
     if not all(is_anti_increasing(term) for term in terms):
         raise AssertionError(f"{what} closure violated (internal error)")
@@ -157,9 +163,8 @@ def _closed_op(op, s: Tree, t: Tree, what: str):
 
 
 def _graded_tensor(cop, t: Tree, what: str) -> dict:
-    """cop(t) on an ordered t, both tensor sides relabeled canonically; the
-    gradings must add, size(left) + size(right) = size(t), in every term."""
-    _require_ordered(t)
+    """cop(t) on an ordered t (checked by the caller), sides relabeled canonically;
+    the gradings must add, size(left) + size(right) = size(t), in every term."""
     terms = cop(t)
     n = tree_size(t)
     if any(tree_size(a) + tree_size(b) != n for a, b in terms):
@@ -229,6 +234,13 @@ def lr_product(s: Tree, t: Tree) -> dict:
     Bound: size(s) + size(t) <= 19.
     """
     _require_size(tree_size(s) + tree_size(t), MAX_PRODUCT_SIZE, "product")
+    _require_ordered(s)
+    _require_ordered(t)
+    return _product(s, t)
+
+
+def _product(s: Tree, t: Tree) -> dict:
+    """lr_product of trees already known to be ordered."""
     return dict(_closed_op(_prod_labeled, s, t, "product"))
 
 
@@ -255,6 +267,12 @@ def lr_coproduct(t: Tree) -> dict:
     Bound: size(t) <= 16.
     """
     _require_size(tree_size(t), MAX_COPRODUCT_SIZE, "coproduct")
+    _require_ordered(t)
+    return _coproduct(t)
+
+
+def _coproduct(t: Tree) -> dict:
+    """lr_coproduct of a tree already known to be ordered."""
     return _graded_tensor(_cop_labeled, t, "coproduct")
 
 
@@ -263,14 +281,14 @@ def counit(combination: dict) -> Fraction:
     return Fraction(combination.get(None, 0))
 
 
-def _convolve(terms: dict, s) -> dict:
-    """m (s x id) of a tensor combination: the sum of c * s(a) * b over its
-    terms (a, b) -> c, with the empty tree as the unit; zero terms dropped."""
+def _convolve(terms: dict, s, product) -> dict:
+    """m (s x id) of a tensor combination: the sum of c * s(a) * b over its terms
+    (a, b) -> c, by product with the empty tree as the unit; zero terms dropped."""
     out: Counter = Counter()
     for (a, b), c in terms.items():
         for sa, ca in s(a).items():
             # with one side empty the product is the other side
-            prod = {sa or b: 1} if sa is None or b is None else lr_product(sa, b)
+            prod = {sa or b: 1} if sa is None or b is None else product(sa, b)
             for w, cw in prod.items():
                 out[w] += c * ca * cw
     return {k: v for k, v in out.items() if v}
@@ -278,13 +296,21 @@ def _convolve(terms: dict, s) -> dict:
 
 def antipode(t: Tree) -> dict:
     """Antipode via the graded-connected recursion m (S x id) Delta t = 0,
-    S(t) = -t - sum of S(t_(1)) * t_(2) over proper coproduct terms.
-    Bound: size(t) <= 8."""
+    S(t) = -t - sum of S(t_(1)) * t_(2) over proper coproduct terms, with t checked
+    once and each distinct coproduct, antipode and product taken once, in tables
+    local to the call and freed on return.  Bound: size(t) <= 9."""
     _require_size(tree_size(t), MAX_ANTIPODE_SIZE, "antipode")
-    if t is None:
-        return {None: 1}
-    rest = {k: c for k, c in lr_coproduct(t).items() if k != (t, None)}
-    return {w: -c for w, c in _convolve(rest, antipode).items()}
+    _require_ordered(t)
+    return _antipode(t, {None: {None: 1}}, lru_cache(maxsize=None)(_product))
+
+
+def _antipode(t: Tree, table: dict, product) -> dict:
+    """S(t) for an ordered t, from table (tree -> S) or added to it."""
+    if t not in table:
+        rest = {k: c for k, c in _coproduct(t).items() if k != (t, None)}
+        convolved = _convolve(rest, lambda a: _antipode(a, table, product), product)
+        table[t] = {w: -c for w, c in convolved.items()}
+    return table[t]
 
 
 # --------------------------------------------------------------------- laws
@@ -300,25 +326,26 @@ class CheckResult:
 
 
 def _law_sweep(max_size: int, law) -> CheckResult:
-    """law(t, delta, s) on every ordered tree t of size <= max_size, up to
-    the first failing CheckResult, which carries the counterexample.
+    """law(t, delta, s, product) on every ordered tree t of size <= max_size,
+    up to the first failing CheckResult, which carries the counterexample.
 
-    delta and s are lr_coproduct and antipode, each taken once per tree in
-    this sweep.  Bound: max_size <= 4, checked before any enumeration.
+    delta, s and product are the public lr_coproduct, antipode and lr_product, each taken
+    once per argument in this sweep.  Bound: max_size <= 4, checked before any enumeration.
     """
     if max_size > MAX_LAW_SIZE:
         raise BoundExceededError(f"Hopf law bound is max_size <= {MAX_LAW_SIZE}")
     delta = lru_cache(maxsize=None)(lr_coproduct)  # tables local to this sweep
     s = lru_cache(maxsize=None)(antipode)
+    product = lru_cache(maxsize=None)(lr_product)
     for n in range(max_size + 1):
         for t in enumerate_ordered_trees(n):
-            result = law(t, delta, s)
+            result = law(t, delta, s, product)
             if not result:
                 return result
     return CheckResult(True)
 
 
-def _coassociativity_defect(t: Tree, delta, s) -> CheckResult:
+def _coassociativity_defect(t: Tree, delta, s, product) -> CheckResult:
     """(Delta x id) Delta t - (id x Delta) Delta t, nonzero triple terms only."""
     out: Counter = Counter()
     for (a, b), c in delta(t).items():
@@ -330,14 +357,14 @@ def _coassociativity_defect(t: Tree, delta, s) -> CheckResult:
     return CheckResult(not diff, (t, diff))
 
 
-def _counit_defect(t: Tree, delta, s) -> CheckResult:
+def _counit_defect(t: Tree, delta, s, product) -> CheckResult:
     left = {b: c for (a, b), c in delta(t).items() if a is None}
     right = {a: c for (a, b), c in delta(t).items() if b is None}
     return CheckResult(left == right == {t: 1}, t)
 
 
-def _antipode_defect(t: Tree, delta, s) -> CheckResult:
-    return CheckResult(_convolve(delta(t), s) == ({None: 1} if t is None else {}), t)
+def _antipode_defect(t: Tree, delta, s, product) -> CheckResult:
+    return CheckResult(_convolve(delta(t), s, product) == ({None: 1} if t is None else {}), t)
 
 
 def coassociativity_check(max_size: int) -> CheckResult:
@@ -354,8 +381,8 @@ def counit_check(max_size: int) -> CheckResult:
 
 
 def antipode_check(max_size: int) -> CheckResult:
-    """m (S x id) Delta = unit . counit, S the public antipode, on all ordered
-    trees of size <= max_size; the counterexample is t."""
+    """m (S x id) Delta = unit . counit on all ordered trees of size <= max_size, S the
+    public antipode, one call per tree with its own tables; the counterexample is t."""
     return _law_sweep(max_size, _antipode_defect)
 
 
@@ -373,6 +400,8 @@ def bf_over_labeled(s: Tree, t: Tree) -> Tree:
 
 def bf_over(s: Tree, t: Tree) -> Tree:
     """Associative product on ordered trees with the empty tree neutral."""
+    _require_ordered(s)
+    _require_ordered(t)
     (result,) = _closed_op(lambda a, b: (bf_over_labeled(a, b),), s, t, "bf product")
     return result
 
@@ -417,6 +446,7 @@ def bf_coproduct(t: Tree) -> dict:
     """Charge coproduct of an ordered tree; gradings add in every term.
     Bound: size(t) <= 17."""
     _require_size(tree_size(t), MAX_BF_COPRODUCT_SIZE, "charge coproduct")
+    _require_ordered(t)
     return _graded_tensor(_bf_cop_labeled, t, "charge coproduct")
 
 

@@ -358,6 +358,73 @@ def test_antipode_small_values():
     assert antipode(V1) == {V1: -1}
 
 
+def recursive_antipode(t):
+    """Oracle: S(t) = -t - sum of S(t_(1)) * t_(2) over proper coproduct
+    terms, recursing through the public operations with no table."""
+    if t is None:
+        return {None: 1}
+    out = Counter()
+    for (a, b), c in lr_coproduct(t).items():
+        if (a, b) == (t, None):
+            continue
+        for sa, ca in recursive_antipode(a).items():
+            prod = {sa or b: 1} if sa is None or b is None else lr_product(sa, b)
+            for w, cw in prod.items():
+                out[w] -= c * ca * cw
+    return {k: v for k, v in out.items() if v}
+
+
+def test_antipode_matches_recursive_oracle():
+    trees = [t for n in range(5) for t in enumerate_ordered_trees(n)]
+    trees += enumerate_ordered_trees(5)[::100]  # 29 of the 2,830 size-5 trees
+    for t in trees:
+        assert antipode(t) == recursive_antipode(t)
+
+
+def _balanced(labels):
+    # the largest label at the root, the smallest half of the rest on the left
+    if not labels:
+        return None
+    k = (len(labels) - 1) // 2
+    return N(labels[-1], _balanced(labels[:k]), _balanced(labels[k:-1]))
+
+
+def test_antipode_takes_each_subtree_once(monkeypatch):
+    # each antipode computed takes one coproduct of its tree; on this
+    # balanced 8-vertex tree the table-free recursion took 17,202 coproducts
+    # of 88 distinct trees
+    seen = Counter()
+    true_graded_tensor = hopf._graded_tensor
+
+    def counted(cop, t, what):
+        seen[t] += 1
+        return true_graded_tensor(cop, t, what)
+
+    monkeypatch.setattr(hopf, "_graded_tensor", counted)
+    t = _balanced(list(range(1, 9)))
+    assert tree_to_nested(t) == [8, [3, [1], [2]], [7, [4], [6, None, [5]]]]
+    assert len(antipode(t)) == 454
+    assert len(seen) == 88
+    assert set(seen.values()) == {1}
+
+
+def test_labeled_tree_hash_equality_and_repr():
+    a, b = N(3, N(1), N(2)), N(3, N(1), N(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) == hash((3, N(1), N(2)))
+    assert a != N(3, N(2), N(1)) and a != N(4, N(1), N(2))
+    assert repr(N(1, None, N(2))) == (
+        "LabeledTree(label=1, left=None, right=LabeledTree(label=2, left=None, right=None))")
+    # the hash is stored, not recomputed down the tree: a chain far deeper
+    # than the recursion limit is a dict key
+    deep = None
+    for k in range(1, 2501):
+        deep = N(k, deep, None)
+    table = {deep: 1, deep.left: 2}
+    assert table[deep] == 1 and table[deep.left] == 2
+    assert hash(deep) == hash((2500, deep.left, None))
+
+
 # ------------------------------------------------- Brouder-Frabetti
 
 

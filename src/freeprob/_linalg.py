@@ -1,8 +1,8 @@
-"""Fraction-free (Bareiss) integer elimination: determinant signs and null spaces.
+"""Fraction-free (Bareiss) integer elimination: rational null spaces.
 
 Bareiss elimination keeps every intermediate entry an exact integer (each is
-a minor of the input up to sign), so determinant signs and rational null
-spaces come out exactly without rational arithmetic during the sweep.
+a minor of the input up to sign), so rational null spaces come out exactly
+without rational arithmetic during the sweep.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-__all__ = ["bareiss_det_sign", "nullspace_vector", "clear_denominators"]
+__all__ = ["nullspace_vector", "clear_denominators"]
 
 
 def _forward_eliminate(a: list[list[int]]) -> tuple[list[tuple[int, int]], int]:
@@ -40,20 +40,6 @@ def _forward_eliminate(a: list[list[int]]) -> tuple[list[tuple[int, int]], int]:
         if r == nrows:
             break
     return pivots, sign
-
-
-def bareiss_det_sign(matrix: list[list[int]]) -> int:
-    """Sign (-1, 0, +1) of the determinant of a square integer matrix."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
-    a = [list(row) for row in matrix]
-    pivots, sign = _forward_eliminate(a)
-    if len(pivots) < n:
-        return 0
-    last = a[pivots[-1][0]][pivots[-1][1]]
-    result = sign * (1 if last > 0 else -1 if last < 0 else 0)
-    return result
 
 
 def clear_denominators(rows: list[list[Fraction]]) -> list[list[int]]:

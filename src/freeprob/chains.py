@@ -147,55 +147,20 @@ def transition_matrix(model: str, n: int) -> StochasticMatrix:
 
 
 def _communicating_classes(p: StochasticMatrix) -> list[list[str]]:
-    """Strongly connected components of the positive-transition digraph (Tarjan)."""
+    """Classes of mutual reachability in the positive-transition digraph: the
+    states that v reaches and that reach v back, sorted by their smallest index."""
     n = len(p.states)
     succ = [[j for j in range(n) if p.rows[i][j] > 0] for i in range(n)]
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    classes: list[list[int]] = []
-    counter = 0
-
-    def strong(v: int):
-        nonlocal counter
-        work = [(v, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for k in range(pi, len(succ[node])):
-                w = succ[node][k]
-                if index[w] is None:
-                    work[-1] = (node, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                classes.append(sorted(comp))
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-
+    reach = []
     for v in range(n):
-        if index[v] is None:
-            strong(v)
+        seen, stack = {v}, [v]
+        while stack:
+            for w in succ[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach.append(seen)
+    classes = {tuple(sorted(w for w in reach[v] if v in reach[w])) for v in range(n)}
     return [[p.states[i] for i in comp] for comp in sorted(classes)]
 
 

@@ -109,16 +109,17 @@ def is_anti_increasing(t: Tree) -> bool:
     return len(labels_of(t)) == tree_size(t) and _span(t) is not False
 
 
+def _relabel(t: Tree, new_label) -> Tree:
+    """The tree t with every label k replaced by new_label(k)."""
+    if t is None:
+        return None
+    return LabeledTree(new_label(t.label), _relabel(t.left, new_label), _relabel(t.right, new_label))
+
+
 def canonical(t: Tree) -> Tree:
     """Relabel by rank to {1..n}, preserving the induced linear order."""
     ranks = {lab: i + 1 for i, lab in enumerate(sorted(labels_of(t)))}
-
-    def rebuild(node: Tree) -> Tree:
-        if node is None:
-            return None
-        return LabeledTree(ranks[node.label], rebuild(node.left), rebuild(node.right))
-
-    return rebuild(t)
+    return _relabel(t, ranks.__getitem__)
 
 
 def is_ordered(t: Tree) -> bool:
@@ -138,9 +139,7 @@ def graft(s: Tree, k: int, t: Tree) -> LabeledTree:
 
 
 def shift_labels(t: Tree, delta: int) -> Tree:
-    if t is None:
-        return None
-    return LabeledTree(t.label + delta, shift_labels(t.left, delta), shift_labels(t.right, delta))
+    return _relabel(t, lambda label: label + delta)
 
 
 def _require_size(n: int, bound: int, what: str) -> None:
@@ -301,14 +300,15 @@ def antipode(t: Tree) -> dict:
     local to the call and freed on return.  Bound: size(t) <= 9."""
     _require_size(tree_size(t), MAX_ANTIPODE_SIZE, "antipode")
     _require_ordered(t)
-    return _antipode(t, {None: {None: 1}}, lru_cache(maxsize=None)(_product))
+    # the table takes each subtree's coproduct once, so only products are cached
+    return _antipode(t, {None: {None: 1}}, _coproduct, lru_cache(maxsize=None)(_product))
 
 
-def _antipode(t: Tree, table: dict, product) -> dict:
+def _antipode(t: Tree, table: dict, coproduct, product) -> dict:
     """S(t) for an ordered t, from table (tree -> S) or added to it."""
     if t not in table:
-        rest = {k: c for k, c in _coproduct(t).items() if k != (t, None)}
-        convolved = _convolve(rest, lambda a: _antipode(a, table, product), product)
+        rest = {k: c for k, c in coproduct(t).items() if k != (t, None)}
+        convolved = _convolve(rest, lambda a: _antipode(a, table, coproduct, product), product)
         table[t] = {w: -c for w, c in convolved.items()}
     return table[t]
 
@@ -329,14 +329,19 @@ def _law_sweep(max_size: int, law) -> CheckResult:
     """law(t, delta, s, product) on every ordered tree t of size <= max_size,
     up to the first failing CheckResult, which carries the counterexample.
 
-    delta, s and product are the public lr_coproduct, antipode and lr_product, each taken
-    once per argument in this sweep.  Bound: max_size <= 4, checked before any enumeration.
+    delta, s and product are _coproduct, _antipode and _product over one set of
+    tables local to this sweep, so each is taken once per argument; the trees
+    are ordered by construction.  Bound: max_size <= 4, checked before any enumeration.
     """
     if max_size > MAX_LAW_SIZE:
         raise BoundExceededError(f"Hopf law bound is max_size <= {MAX_LAW_SIZE}")
-    delta = lru_cache(maxsize=None)(lr_coproduct)  # tables local to this sweep
-    s = lru_cache(maxsize=None)(antipode)
-    product = lru_cache(maxsize=None)(lr_product)
+    delta = lru_cache(maxsize=None)(_coproduct)  # tables local to this sweep
+    product = lru_cache(maxsize=None)(_product)
+    table = {None: {None: 1}}
+
+    def s(t: Tree) -> dict:
+        return _antipode(t, table, delta, product)
+
     for n in range(max_size + 1):
         for t in enumerate_ordered_trees(n):
             result = law(t, delta, s, product)
@@ -364,7 +369,11 @@ def _counit_defect(t: Tree, delta, s, product) -> CheckResult:
 
 
 def _antipode_defect(t: Tree, delta, s, product) -> CheckResult:
-    return CheckResult(_convolve(delta(t), s, product) == ({None: 1} if t is None else {}), t)
+    """m (id x S) Delta t = counit(t) 1: the side the recursion for S does not impose,
+    as m (S x id) on the flipped tensor with the product reversed."""
+    flipped = {(b, a): c for (a, b), c in delta(t).items()}
+    convolved = _convolve(flipped, s, lambda x, y: product(y, x))
+    return CheckResult(convolved == ({None: 1} if t is None else {}), t)
 
 
 def coassociativity_check(max_size: int) -> CheckResult:
@@ -381,8 +390,9 @@ def counit_check(max_size: int) -> CheckResult:
 
 
 def antipode_check(max_size: int) -> CheckResult:
-    """m (S x id) Delta = unit . counit on all ordered trees of size <= max_size, S the
-    public antipode, one call per tree with its own tables; the counterexample is t."""
+    """m (id x S) Delta = unit . counit on all ordered trees of size <= max_size; the
+    left-sided law m (S x id) Delta holds by the recursion that defines S.  The
+    counterexample is t."""
     return _law_sweep(max_size, _antipode_defect)
 
 

@@ -101,14 +101,6 @@ class Partition:
         object.__setattr__(p, "blocks", blocks)
         return p
 
-    def block_index(self) -> dict[int, int]:
-        """Map element -> index of its block in canonical order."""
-        out: dict[int, int] = {}
-        for i, block in enumerate(self.blocks):
-            for x in block:
-                out[x] = i
-        return out
-
     def to_json(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
 

@@ -19,13 +19,11 @@ decide.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .._linalg import bareiss_det_sign, clear_denominators
 from ..errors import BoundExceededError
 
 __all__ = [
@@ -36,11 +34,7 @@ __all__ = [
     "jacobi_from_moments",
     "PivotSigns",
     "pivot_signs",
-    "hankel_sign",
-    "hankel_sign_from_pivots",
 ]
-
-MAX_HANKEL_DIRECT = 24
 
 
 @dataclass(frozen=True)
@@ -307,27 +301,3 @@ def _sigma_scan(values: list, depth: Optional[int], sign, symmetric: bool) -> Ja
         older, old = old, diag
     # drop the alpha entries beyond the computed beta depth
     return JacobiFit(alpha[: len(beta)], beta, pivots, None, None)
-
-
-def hankel_sign(seq: Sequence, k: int) -> int:
-    """Sign of det [seq_{i+j}]_{i,j=0..k} by fraction-free (Bareiss) elimination.
-
-    Bound: k <= 24 for the direct determinant route.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k > MAX_HANKEL_DIRECT:
-        raise BoundExceededError(f"direct Hankel determinant bound is k <= {MAX_HANKEL_DIRECT}")
-    values = [Fraction(x) for x in seq]
-    if 2 * k + 1 > len(values):
-        raise BoundExceededError(f"need {2 * k + 1} sequence entries, have {len(values)}")
-    rows = [[values[i + j] for j in range(k + 1)] for i in range(k + 1)]
-    return bareiss_det_sign(clear_denominators(rows))
-
-
-def hankel_sign_from_pivots(fit: JacobiFit, k: int) -> int:
-    """Sign of the k-th Hankel determinant predicted from the pivot table:
-    H_k = prod of the first k+1 diagonal pivots."""
-    if k + 1 > len(fit.pivots):
-        raise BoundExceededError(f"pivot table only covers k <= {len(fit.pivots) - 1}")
-    return math.prod(_sign(pivot) for pivot in fit.pivots[: k + 1])

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from itertools import permutations
 
@@ -256,7 +257,7 @@ def test_coassociativity_reports_defect(monkeypatch):
     # drop V1 x E from Delta(V1): sizes 0 and 1 still pass, and at the first
     # two-vertex tree t, with Delta t = E x t + V1 x V1 + t x E,
     # (Delta x id) Delta t - (id x Delta) Delta t = V1 x V1 x E - V1 x E x V1
-    true_coproduct = hopf.lr_coproduct
+    true_coproduct = hopf._coproduct
 
     def dropped(t):
         terms = true_coproduct(t)
@@ -264,7 +265,7 @@ def test_coassociativity_reports_defect(monkeypatch):
             del terms[(V1, E)]
         return terms
 
-    monkeypatch.setattr(hopf, "lr_coproduct", dropped)
+    monkeypatch.setattr(hopf, "_coproduct", dropped)
     t = N(1, None, N(2))
     assert coassociativity_check(2) == CheckResult(False, (t, {(V1, V1, E): 1, (V1, E, V1): -1}))
 
@@ -273,7 +274,7 @@ def test_counit_reports_defect(monkeypatch):
     # doubling E x t in the coproduct of the cherry breaks the left counit
     # law there and nowhere before it
     cherry = N(3, N(1), N(2))
-    true_coproduct = hopf.lr_coproduct
+    true_coproduct = hopf._coproduct
 
     def doubled(t):
         terms = true_coproduct(t)
@@ -281,24 +282,41 @@ def test_counit_reports_defect(monkeypatch):
             terms[(E, t)] = 2
         return terms
 
-    monkeypatch.setattr(hopf, "lr_coproduct", doubled)
+    monkeypatch.setattr(hopf, "_coproduct", doubled)
     assert counit_check(2)
     assert counit_check(3) == CheckResult(False, cherry)
 
 
 def test_antipode_reports_defect(monkeypatch):
-    # the law reads the public antipode: with the sign of S flipped at the
-    # first two-vertex tree t, m (S x id) Delta t = 2 (V1 * V1 - t) is nonzero
+    # with the sign of S flipped at the first two-vertex tree t,
+    # m (id x S) Delta t = 2 (t - V1 * V1) is nonzero
     t = N(1, None, N(2))
-    true_antipode = hopf.antipode
+    true_antipode = hopf._antipode
 
-    def flipped(u):
-        terms = true_antipode(u)
+    def flipped(u, *tables):
+        terms = true_antipode(u, *tables)
         return {w: -c for w, c in terms.items()} if u == t else terms
 
-    monkeypatch.setattr(hopf, "antipode", flipped)
+    monkeypatch.setattr(hopf, "_antipode", flipped)
     assert antipode_check(1)
     assert antipode_check(2) == CheckResult(False, t)
+
+
+def test_law_sweep_takes_each_coproduct_once(monkeypatch):
+    # the coproduct of each of the 281 ordered trees of size <= 4 is taken
+    # once, shared by the law and the antipode recursion; calling the public
+    # antipode once per tree took 1,486
+    seen = Counter()
+    true_graded_tensor = hopf._graded_tensor
+
+    def counted(cop, t, what):
+        seen[t] += 1
+        return true_graded_tensor(cop, t, what)
+
+    monkeypatch.setattr(hopf, "_graded_tensor", counted)
+    assert antipode_check(4)
+    assert len(seen) == sum(hilbert_dimension(n) for n in range(5)) == 281
+    assert set(seen.values()) == {1}
 
 
 def test_law_bound_errors(monkeypatch):
@@ -406,6 +424,19 @@ def test_antipode_takes_each_subtree_once(monkeypatch):
     assert len(antipode(t)) == 454
     assert len(seen) == 88
     assert set(seen.values()) == {1}
+
+
+def test_relabeling_leaves_no_cycles():
+    # canonical and shift_labels are freed by reference counting alone
+    trees = enumerate_ordered_trees(4)
+    gc.disable()
+    try:
+        gc.collect()
+        for t in trees:
+            canonical(shift_labels(t, 5))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_labeled_tree_hash_equality_and_repr():

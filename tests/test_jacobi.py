@@ -9,8 +9,6 @@ from freeprob.errors import BoundExceededError
 from freeprob.transforms import (
     JacobiFit,
     JacobiParams,
-    hankel_sign,
-    hankel_sign_from_pivots,
     jacobi_from_moments,
     moments_from_jacobi,
     mu_c_jacobi,
@@ -18,6 +16,7 @@ from freeprob.transforms import (
     shifted_sequence_of_mu_c,
 )
 from freeprob.transforms import jacobi
+from oracles import hankel_sign, hankel_sign_from_pivots
 
 
 def gauss_moments(n):

@@ -21,6 +21,7 @@ from freeprob.partitions import (
     top_partition,
     _is_interval,
 )
+from oracles import block_index
 
 ALL = LatticeKind.ALL
 NC = LatticeKind.NONCROSSING
@@ -181,7 +182,7 @@ def test_connected_implies_irreducible():
 def _noncrossing_by_stack(p):
     # independent route: scan 1..n keeping the open blocks on a stack; an
     # element may only continue the top block or open a new one
-    owner = p.block_index()
+    owner = block_index(p)
     stack = []
     for x in range(1, p.n + 1):
         b = owner[x]
@@ -199,7 +200,7 @@ def _noncrossing_by_stack(p):
 
 def _crossings_by_quadruples(p):
     # independent route: test all C(n, 4) quadruples a<b<c<d
-    owner = p.block_index()
+    owner = block_index(p)
     return sum(
         1
         for a, b, c, d in itertools.combinations(range(1, p.n + 1), 4)

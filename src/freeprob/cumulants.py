@@ -5,10 +5,10 @@ moment sequence is the total mass (required to be 1) and index 0 of a
 cumulant sequence is unused (kept 0).  Every conversion exists in two
 independent implementations:
 
-* one triangular series solve, usable at large order:
-  classical via the exponential generating function relation F = exp(K),
-  free via M(z) = C(z M(z)) (bound: order <= 240), boolean via
-  M = 1/(1 - H);
+* one triangular series solve on integers scaled by powers of a common
+  denominator, with one Fraction per output: classical via the exponential
+  generating function relation F = exp(K), boolean via M = 1/(1 - H)
+  (bound: order <= 700), free via M(z) = C(z M(z)) (bound: order <= 240);
 * a lattice sum over enumerated partitions (Moebius inversion evaluated by
   subtraction of multiplicative terms), used as the small-order oracle.
 
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import BoundExceededError
@@ -63,11 +64,20 @@ __all__ = [
 
 MAX_LATTICE_ORDER = 11
 MAX_MOEBIUS_WEIGHTS_ORDER = 7
-# The free series conversions fill a cubic-size power table of Fractions that
-# grow with the order: 240 is the largest order that ran in under 30 s (27 s
-# for moments_from_free on small random rationals, 22 MB, 2-core machine).
-# Classical and boolean take under 0.5 s there and are not bounded.
+# The series conversions run on the integers D^j x_j, D a common scale that
+# divides the lcm of the given denominators (see _triangular_solve).
+# MAX_SERIES_BITS bounds D by 32 bits and each D^j x_j by 32*j bits, so every
+# integer of the recursion, D^d [z^d] M(z)^i included, has about 32 bits per
+# degree.  Inputs at that edge take 9-16 s for the free conversions at order
+# 240 and 13-19 s for the classical ones at order 700 (boolean: under 14 s
+# there), in a fresh process on a 2-core machine.
 MAX_FREE_SERIES_ORDER = 240
+MAX_SERIES_ORDER = 700  # classical and boolean
+MAX_SERIES_BITS = 32
+_BITS_BOUND = (
+    f"series conversion bound is a common scale D of at most {MAX_SERIES_BITS} bits "
+    f"and entries x_j with D^j x_j of at most {MAX_SERIES_BITS}*j bits"
+)
 
 _KIND_FOR_CUMULANT = {
     "classical": LatticeKind.ALL,
@@ -98,36 +108,53 @@ def _triangular_solve(seq: Sequence, kind: str, to_moments: bool) -> list[Fracti
     Step j reads only m_0..m_{j-1}, so one pass serves both directions; for
     the free weight, step j first extends the power table by its
     anti-diagonal i + d = j, which needs only those moments.
+
+    Every weight is homogeneous of degree j - i in the moments, so with D^j
+    times each given entry x_j an integer the pass runs on the integers
+    D^j m_j, D^j k_j and D^d [z^d] M(z)^i, and each output is one
+    Fraction(X_j, D^j).  D grows by the part of each denominator that D^j
+    does not yet cover, so moments with denominators q^j get D = q, not q^n.
     """
     given = _fracs(seq)
     if not given:
         raise ValueError("the sequence must not be empty")
     n = len(given) - 1
-    if kind == "free" and n > MAX_FREE_SERIES_ORDER:
-        raise BoundExceededError(f"free series conversion bound is order <= {MAX_FREE_SERIES_ORDER}")
-    if to_moments:
-        k, m = given, [Fraction(1)] + [Fraction(0)] * n
-    else:
+    bound = MAX_FREE_SERIES_ORDER if kind == "free" else MAX_SERIES_ORDER
+    if n > bound:
+        raise BoundExceededError(f"{kind} series conversion bound is order <= {bound}")
+    if not to_moments:
         _require_moments(given)
-        k, m = [Fraction(0)] * (n + 1), given
-    powers = [[Fraction(1)] + [Fraction(0)] * n]  # powers[i][d] = [z^d] M(z)^i
+    scale = 1  # D: each step keeps D^j x_j integral, and D divides the lcm of the denominators
+    for j, x in enumerate(given[1:], 1):
+        scale *= x.denominator // gcd(x.denominator, scale**j)
+        if scale.bit_length() > MAX_SERIES_BITS:
+            raise BoundExceededError(_BITS_BOUND)
+    scale_powers = [scale**j for j in range(n + 1)]
+    scaled = [1] + [x.numerator * (p // x.denominator) for x, p in zip(given[1:], scale_powers[1:])]
+    if any(x.bit_length() > j * MAX_SERIES_BITS for j, x in enumerate(scaled) if j):
+        raise BoundExceededError(_BITS_BOUND)
+    if to_moments:
+        k, m = scaled, [1] + [0] * n
+    else:
+        k, m = [0] * (n + 1), scaled
+    powers = [[1] + [0] * n]  # powers[i][d] = D^d [z^d] M(z)^i
     for j in range(1, n + 1):
         if kind == "free":
             for i in range(1, j):
                 d = j - i
-                powers[i].append(sum((m[e] * powers[i - 1][d - e] for e in range(d + 1)), Fraction(0)))
-            powers.append([Fraction(1)])
+                powers[i].append(sum(map(mul, m[: d + 1], powers[i - 1][d::-1])))
+            powers.append([1])
             w = [powers[i][j - i] for i in range(1, j)]
         elif kind == "classical":
             w = [comb(j - 1, i - 1) * m[j - i] for i in range(1, j)]
         else:
-            w = [m[j - i] for i in range(1, j)]
-        acc = sum((k_i * w_i for k_i, w_i in zip(k[1:j], w)), Fraction(0))
+            w = m[j - 1 : 0 : -1]
+        acc = sum(map(mul, k[1:j], w))
         if to_moments:
             m[j] = k[j] + acc
         else:
             k[j] = m[j] - acc
-    return m if to_moments else k
+    return [Fraction(x, p) for x, p in zip(m if to_moments else k, scale_powers)]
 
 
 def classical_from_moments(moments: Sequence) -> list[Fraction]:

@@ -183,23 +183,31 @@ def enumerate_ordered_trees(n: int) -> list:
         raise ValueError("n must be nonnegative")
     if n > MAX_ORDERED_ENUM:
         raise BoundExceededError(f"ordered-tree enumeration bound is n <= {MAX_ORDERED_ENUM}")
+    labels = tuple(range(1, n + 1))
+    memo: dict = {}  # local to this call: subtrees recur with the same labels
+    return [t for shape in enumerate_trees(n) for t in _labelings(shape, labels, memo)]
 
-    @lru_cache(maxsize=None)  # local to this call: subtrees recur with the same labels
-    def labelings(shape, labels: tuple[int, ...]) -> tuple:
-        # The root takes any label; the left subtree then takes the smallest
-        # of the rest and the right subtree the others.
-        if shape is None:
-            return (None,)
+
+def _labelings(shape, labels: tuple[int, ...], memo: dict) -> tuple:
+    """Every labeling of `shape` by `labels`: the root takes any label, the
+    left subtree then the smallest of the rest and the right subtree the
+    others.
+
+    A plain recursion over the caller's memo, so no reference cycle outlives
+    the enumeration.
+    """
+    if shape is None:
+        return (None,)
+    key = (shape, labels)
+    if key not in memo:
         k = tree_size(shape.left)
         out = []
         for i, root in enumerate(labels):
             rest = labels[:i] + labels[i + 1 :]
-            rights = labelings(shape.right, rest[k:])
-            out.extend(LabeledTree(root, s, t) for s in labelings(shape.left, rest[:k]) for t in rights)
-        return tuple(out)
-
-    labels = tuple(range(1, n + 1))
-    return [t for shape in enumerate_trees(n) for t in labelings(shape, labels)]
+            rights = _labelings(shape.right, rest[k:], memo)
+            out.extend(LabeledTree(root, s, t) for s in _labelings(shape.left, rest[:k], memo) for t in rights)
+        memo[key] = tuple(out)
+    return memo[key]
 
 
 def hilbert_dimension(n: int) -> int:

@@ -9,7 +9,7 @@ import pytest
 import freeprob
 from freeprob import cli
 from freeprob.cli import MAX_DPS, MAX_GRID_POINTS, MAX_GRID_POINTS_DPS, build_parser, main
-from freeprob.cumulants import MAX_FREE_SERIES_ORDER
+from freeprob.cumulants import MAX_FREE_SERIES_ORDER, MAX_SERIES_BITS, MAX_SERIES_ORDER
 from freeprob.hopf import MAX_ANTIPODE_SIZE
 
 
@@ -180,6 +180,75 @@ def test_free_series_bound_exit_one(capsys, direction):
     error = json.loads(err)["error"]
     assert error["type"] == "BoundExceededError"
     assert str(MAX_FREE_SERIES_ORDER) in error["message"]
+
+
+@pytest.mark.parametrize("kind", ["classical", "boolean"])
+@pytest.mark.parametrize("direction", ["from-moments", "to-moments"])
+def test_series_order_bound_exit_one(capsys, kind, direction):
+    seq = ",".join(["1"] + ["0"] * (MAX_SERIES_ORDER + 1))
+    code, out, err = run(capsys, "cumulants", "--kind", kind, "--direction", direction, "--seq", seq)
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "BoundExceededError"
+    assert str(MAX_SERIES_ORDER) in error["message"]
+
+
+@pytest.mark.parametrize("kind", ["classical", "free", "boolean"])
+def test_series_bits_bound_exit_one(capsys, kind):
+    seq = f"1,1/{2**MAX_SERIES_BITS + 1}"
+    code, out, err = run(capsys, "cumulants", "--kind", kind, "--direction", "from-moments", "--seq", seq)
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "BoundExceededError"
+    assert str(MAX_SERIES_BITS) in error["message"]
+
+
+# stdout captured before the conversions moved to scaled integers
+PINNED_CONVERSIONS = [
+    (
+        ("--kind", "free", "--direction", "from-moments", "--seq", "1,2/4,-3,0,5/6"),
+        '{"config": {"command": "cumulants", "direction": "from-moments", "format": "json", "kind": "free", '
+        '"seq": ["1", "1/2", "-3", "0", "5/6"]}, "result": {"decimal": [0.0, 0.5, -3.25, 4.75, -24.979166666666668], '
+        '"values": ["0", "1/2", "-13/4", "19/4", "-1199/48"]}}\n',
+    ),
+    (
+        ("--kind", "free", "--direction", "to-moments", "--seq=-2/4,3,-1/3,0,0,9/12"),
+        '{"config": {"command": "cumulants", "direction": "to-moments", "format": "json", "kind": "free", '
+        '"seq": ["-1/2", "3", "-1/3", "0", "0", "3/4"]}, "result": {"decimal": [1.0, 3.0, 8.666666666666666, 24.0, '
+        '63.22222222222222, 157.08333333333334], "values": ["1", "3", "26/3", "24", "569/9", "1885/12"]}}\n',
+    ),
+    (
+        ("--kind", "classical", "--direction", "from-moments", "--seq=1,-1,2/4,0,-3/9,7"),
+        '{"config": {"command": "cumulants", "direction": "from-moments", "format": "json", "kind": "classical", '
+        '"seq": ["1", "-1", "1/2", "0", "-1/3", "7"]}, "result": {"decimal": [0.0, -1.0, -0.5, -0.5, '
+        '-1.0833333333333333, 3.8333333333333335], "values": ["0", "-1", "-1/2", "-1/2", "-13/12", "23/6"]}}\n',
+    ),
+    (
+        ("--kind", "classical", "--direction", "to-moments", "--seq", "0,1,-1/2,2/4,0,-7"),
+        '{"config": {"command": "cumulants", "direction": "to-moments", "format": "json", "kind": "classical", '
+        '"seq": ["0", "1", "-1/2", "1/2", "0", "-7"]}, "result": {"decimal": [1.0, 1.0, 0.5, 0.0, 0.75, -4.75], '
+        '"values": ["1", "1", "1/2", "0", "3/4", "-19/4"]}}\n',
+    ),
+    (
+        ("--kind", "boolean", "--direction", "from-moments", "--seq", "1,2/4,-3,0,5/6", "--format", "csv"),
+        '# config: {"command": "cumulants", "direction": "from-moments", "format": "csv", "kind": "boolean", '
+        '"seq": ["1", "1/2", "-3", "0", "5/6"]}\nn,value,decimal\n0,0,0.0\n1,1/2,0.5\n2,-13/4,-3.25\n'
+        '3,25/8,3.125\n4,-503/48,-10.479166666666666\n',
+    ),
+    (
+        ("--kind", "boolean", "--direction", "to-moments", "--seq=0,-1,2/4,0,-3/9,7"),
+        '{"config": {"command": "cumulants", "direction": "to-moments", "format": "json", "kind": "boolean", '
+        '"seq": ["0", "-1", "1/2", "0", "-1/3", "7"]}, "result": {"decimal": [1.0, -1.0, 1.5, -2.0, '
+        '2.4166666666666665, 3.9166666666666665], "values": ["1", "-1", "3/2", "-2", "29/12", "47/12"]}}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(("argv", "stdout"), PINNED_CONVERSIONS)
+def test_cumulant_conversion_bytes_pinned(capsys, argv, stdout):
+    assert run(capsys, "cumulants", *argv) == (0, stdout, "")
 
 
 @pytest.mark.parametrize("kind", ["classical", "free", "boolean"])

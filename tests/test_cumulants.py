@@ -6,6 +6,8 @@ import pytest
 from freeprob.cumulants import (
     MAX_FREE_SERIES_ORDER,
     MAX_RIORDAN_ORDER,
+    MAX_SERIES_BITS,
+    MAX_SERIES_ORDER,
     WeightKind,
     WeightSpec,
     boolean_convolve,
@@ -126,17 +128,17 @@ def test_boolean_round_trip():
 # ------------------------------------------------- series input checks
 
 
-@pytest.mark.parametrize(
-    "convert",
-    [
-        classical_from_moments,
-        moments_from_classical,
-        free_from_moments,
-        moments_from_free,
-        boolean_from_moments,
-        moments_from_boolean,
-    ],
-)
+SERIES_ALL = [
+    classical_from_moments,
+    moments_from_classical,
+    free_from_moments,
+    moments_from_free,
+    boolean_from_moments,
+    moments_from_boolean,
+]
+
+
+@pytest.mark.parametrize("convert", SERIES_ALL)
 def test_series_reject_empty_sequence(convert):
     with pytest.raises(ValueError):
         convert([])
@@ -147,6 +149,30 @@ def test_free_series_bound(convert):
     seq = [F(1)] + [F(0)] * (MAX_FREE_SERIES_ORDER + 1)
     with pytest.raises(BoundExceededError, match=str(MAX_FREE_SERIES_ORDER)):
         convert(seq)
+
+
+@pytest.mark.parametrize(
+    "convert", [classical_from_moments, moments_from_classical, boolean_from_moments, moments_from_boolean]
+)
+def test_classical_and_boolean_series_bound(convert):
+    seq = [F(1)] + [F(0)] * (MAX_SERIES_ORDER + 1)
+    with pytest.raises(BoundExceededError, match=str(MAX_SERIES_ORDER)):
+        convert(seq)
+    assert len(convert(seq[:2])) == 2
+
+
+@pytest.mark.parametrize("convert", SERIES_ALL)
+def test_series_bits_bound(convert):
+    edge = 2**MAX_SERIES_BITS
+    # one bit over, then exactly at, the bound on the scale D (first entry)
+    # and on the scaled entries D^j x_j (the others; D = 3 in the last)
+    too_wide = [[F(1, edge + 1)], [F(edge)], [F(0), F(edge**2)], [F(1, 3), F(edge**2 // 9 + 1)]]
+    at_edge = [[F(1, edge - 1)], [F(edge - 1)], [F(0), F(edge**2 - 1)], [F(1, 3), F(edge**2 // 9)]]
+    for tail in too_wide:
+        with pytest.raises(BoundExceededError, match=str(MAX_SERIES_BITS)):
+            convert([F(1)] + tail)
+    for tail in at_edge:
+        assert len(convert([F(1)] + tail)) == len(tail) + 1
 
 
 # ------------------------------------------------- lattice oracle equivalence

@@ -439,6 +439,17 @@ def test_relabeling_leaves_no_cycles():
         gc.enable()
 
 
+def test_enumeration_leaves_no_cycles():
+    # the labeling memo is a plain dict of the call, freed by reference counting
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(enumerate_ordered_trees(6)) == 38232
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_labeled_tree_hash_equality_and_repr():
     a, b = N(3, N(1), N(2)), N(3, N(1), N(2))
     assert a is not b and a == b and hash(a) == hash(b)

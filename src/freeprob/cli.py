@@ -18,6 +18,7 @@ import os
 import sys
 from dataclasses import astuple, fields
 from fractions import Fraction
+from functools import lru_cache
 
 from . import chains as chains_mod
 from . import cumulants as cumulants_mod
@@ -489,6 +490,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+# One parser per process: every default is immutable and each parse fills a fresh Namespace.
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="freeprob",

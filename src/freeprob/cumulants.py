@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
-from operator import mul
+from math import gcd
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import BoundExceededError
@@ -138,6 +138,7 @@ def _triangular_solve(seq: Sequence, kind: str, to_moments: bool) -> list[Fracti
     else:
         k, m = [0] * (n + 1), scaled
     powers = [[1] + [0] * n]  # powers[i][d] = D^d [z^d] M(z)^i
+    pascal = [1]  # row j - 1 of Pascal's triangle: the classical C(j-1, i-1)
     for j in range(1, n + 1):
         if kind == "free":
             for i in range(1, j):
@@ -146,7 +147,8 @@ def _triangular_solve(seq: Sequence, kind: str, to_moments: bool) -> list[Fracti
             powers.append([1])
             w = [powers[i][j - i] for i in range(1, j)]
         elif kind == "classical":
-            w = [comb(j - 1, i - 1) * m[j - i] for i in range(1, j)]
+            w = list(map(mul, pascal, m[j - 1 : 0 : -1]))
+            pascal = [1, *map(add, pascal, pascal[1:]), 1]
         else:
             w = m[j - 1 : 0 : -1]
         acc = sum(map(mul, k[1:j], w))

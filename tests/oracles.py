@@ -2,8 +2,10 @@
 
 The direct Hankel determinant (Bareiss elimination over the integer-scaled
 matrix) checks the pivot scan of `jacobi_from_moments`, `block_index`
-serves the partition oracles, and `series_in_fractions` checks the integer
-triangular solve behind the six series conversions of `freeprob.cumulants`.
+serves the partition oracles, `partitions_by_rgs` checks the level-by-level
+generation of `enumerate_partitions`, and `series_in_fractions` checks the
+integer triangular solve behind the six series conversions of
+`freeprob.cumulants`.
 """
 
 import math
@@ -12,6 +14,7 @@ from typing import Sequence
 
 from freeprob._linalg import _forward_eliminate, clear_denominators
 from freeprob.errors import BoundExceededError
+from freeprob.partitions import LatticeKind, Partition
 from freeprob.transforms import JacobiFit
 
 MAX_HANKEL_DIRECT = 24
@@ -57,6 +60,36 @@ def hankel_sign_from_pivots(fit: JacobiFit, k: int) -> int:
 def block_index(p) -> dict[int, int]:
     """Map element -> index of its block in the canonical order of partition p."""
     return {x: i for i, block in enumerate(p.blocks) for x in block}
+
+
+def partitions_by_rgs(n: int, kind: LatticeKind) -> list[Partition]:
+    """The partitions of {1..n} of the given kind, depth first through their
+    restricted-growth strings in lexicographic order, each built from its
+    string.
+
+    The open-block stack holds the blocks the next element may still join;
+    it may always open a new block instead.  No block ever closes for ALL,
+    opening a block closes every earlier one for INTERVAL, and joining a
+    block closes every block above it on the stack for NONCROSSING.
+    """
+    assignment = [0] * n
+    out = []
+
+    def rec(i: int, opened: int, stack: tuple[int, ...]):
+        if i == n:
+            blocks = [[] for _ in range(opened)]
+            for x, b in enumerate(assignment, 1):
+                blocks[b].append(x)
+            out.append(Partition._canonical(n, tuple(map(tuple, blocks))))
+            return
+        for pos, b in enumerate(stack):
+            assignment[i] = b
+            rec(i + 1, opened, stack[: pos + 1] if kind is LatticeKind.NONCROSSING else stack)
+        assignment[i] = opened
+        rec(i + 1, opened + 1, (opened,) if kind is LatticeKind.INTERVAL else stack + (opened,))
+
+    rec(1, 1, (0,))
+    return out
 
 
 def series_in_fractions(seq: Sequence, kind: str, to_moments: bool) -> list[Fraction]:

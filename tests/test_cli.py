@@ -446,15 +446,41 @@ def test_config_echoes_every_argument(capsys, name):
     assert doc["config"]["command"] == name
 
 
-def test_closed_pipe_exits_quietly():
-    # like `freeprob density ... | head -n 1`: the reader leaves after one line
+def _fresh_process_env():
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(freeprob.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # one parser serves a mixed run of main calls, a usage error among them,
+    # and each call prints exactly what the command prints in a fresh process
+    build_parser.cache_clear()
+    sequence = [
+        ["fid", "--c", "9/10", "--order", "200"],
+        ["cumulants", "--kind", "free", "--direction", "from-moments", "--seq", "1,0,1,0,2,0,5"],
+        ["transform", "--c", "0", "--grid=-1:1:3,1:2:2", "--op", "nope"],
+        ["transform", "--c", "0", "--grid=-1:1:3,1:2:2"],
+    ]
+    in_process = [run(capsys, *argv) for argv in sequence]
+    assert build_parser.cache_info().misses == 1
+    assert in_process[2][:2] == (1, "")
+    assert json.loads(in_process[2][2])["error"]["type"] == "UsageError"
+    for argv, (code, out, err) in zip(sequence, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "freeprob", *argv],
+            capture_output=True, text=True, env=_fresh_process_env(), timeout=120,
+        )
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+
+
+def test_closed_pipe_exits_quietly():
+    # like `freeprob density ... | head -n 1`: the reader leaves after one line
     argv = ["density", "--c", "0", "--range=-4:4:0.001", "--format", "csv"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "freeprob", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_process_env(),
     )
     assert proc.stdout.readline().startswith(b"# config:")
     proc.stdout.close()

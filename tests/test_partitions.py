@@ -21,7 +21,7 @@ from freeprob.partitions import (
     top_partition,
     _is_interval,
 )
-from oracles import block_index
+from oracles import block_index, partitions_by_rgs
 
 ALL = LatticeKind.ALL
 NC = LatticeKind.NONCROSSING
@@ -322,6 +322,19 @@ def test_direct_generation_matches_filtered_enumeration():
         every = enumerate_partitions(n, ALL)
         assert enumerate_partitions(n, NC) == [p for p in every if _noncrossing_by_stack(p)]
         assert enumerate_partitions(n, INT) == [p for p in every if _is_interval(p)]
+
+
+@pytest.mark.parametrize("kind, top", [(ALL, 9), (NC, 11), (INT, 14)], ids=["all", "nc", "int"])
+def test_level_generation_matches_rgs_oracle(kind, top):
+    for n in range(1, top + 1):
+        assert enumerate_partitions(n, kind) == partitions_by_rgs(n, kind)
+
+
+def test_generated_partitions_pass_full_validation():
+    for kind in (ALL, NC, INT):
+        for n in range(1, 8):
+            for p in enumerate_partitions(n, kind):
+                assert Partition.of(n, p.blocks) == p  # re-sorted and checked in full
 
 
 def test_moebius_errors():

@@ -63,7 +63,7 @@ def nullspace_vector(matrix: list[list[Fraction]]) -> list[Fraction]:
     pivot_cols = {c for _, c in pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     if len(free_cols) != 1:
-        raise ValueError(f"expected nullity 1, found {len(free_cols)} free columns")
+        raise AssertionError(f"expected nullity 1, found {len(free_cols)} (internal error)")
     x = [Fraction(0)] * ncols
     x[free_cols[0]] = Fraction(1)
     for r, c in reversed(pivots):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import nullspace_vector
-from .errors import BoundExceededError
+from .errors import BoundExceededError, InputError
 from .trees import (
     BinaryTree,
     _vertex_paths,
@@ -46,7 +46,7 @@ __all__ = [
 MAX_CHAIN_N = 6
 
 
-class ChainStructureError(ValueError):
+class ChainStructureError(InputError):
     """Raised for reducible chains; carries the communicating classes."""
 
     def __init__(self, classes):
@@ -62,17 +62,14 @@ class StochasticMatrix:
     def __post_init__(self):
         n = len(self.states)
         if len(set(self.states)) != n:
-            raise ValueError("duplicate states")
+            raise InputError("duplicate states")
         if len(self.rows) != n or any(len(r) != n for r in self.rows):
-            raise ValueError("matrix must be square over the state list")
+            raise InputError("matrix must be square over the state list")
         for row in self.rows:
             if any(x < 0 for x in row):
-                raise ValueError("negative transition weight")
+                raise InputError("negative transition weight")
             if sum(row) != 1:
-                raise ValueError("row does not sum to 1")
-
-    def index(self, state: str) -> int:
-        return self.states.index(state)
+                raise InputError("row does not sum to 1")
 
 
 @dataclass
@@ -81,9 +78,9 @@ class Distribution:
 
     def __post_init__(self):
         if any(w < 0 for w in self.weights.values()):
-            raise ValueError("negative weight")
+            raise InputError("negative weight")
         if sum(self.weights.values()) != 1:
-            raise ValueError("weights must sum to 1")
+            raise InputError("weights must sum to 1")
 
 
 def _rotate_up(t: BinaryTree, path: tuple) -> BinaryTree:
@@ -114,7 +111,7 @@ def mtr_transition_matrix(n: int) -> StochasticMatrix:
     States are the Dyck encodings of the shapes.  Bound: n <= 6.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InputError("n must be positive")
     if n > MAX_CHAIN_N:
         raise BoundExceededError(f"chain bound is n <= {MAX_CHAIN_N}")
     trees = enumerate_trees(n)
@@ -131,7 +128,7 @@ def mtr_transition_matrix(n: int) -> StochasticMatrix:
 def nt_transition_matrix(n: int) -> StochasticMatrix:
     """Naimi-Trehel chain on Dyck words: mu-adjacency matrix over n+1.  Bound: n <= 6."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InputError("n must be positive")
     if n > MAX_CHAIN_N:
         raise BoundExceededError(f"chain bound is n <= {MAX_CHAIN_N}")
     words, adjacency = nt_adjacency(n)
@@ -142,7 +139,7 @@ def nt_transition_matrix(n: int) -> StochasticMatrix:
 def transition_matrix(model: str, n: int) -> StochasticMatrix:
     """The "nt" (Naimi-Trehel) or "mtr" (move-to-root) chain on size-n states."""
     if model not in ("nt", "mtr"):
-        raise ValueError(f"unknown chain model {model!r}; expected 'nt' or 'mtr'")
+        raise InputError(f"unknown chain model {model!r}; expected 'nt' or 'mtr'")
     return (nt_transition_matrix if model == "nt" else mtr_transition_matrix)(n)
 
 
@@ -186,7 +183,7 @@ def stationary(p: StochasticMatrix) -> Distribution:
         total = -total
     weights = [v / total for v in x]
     if any(w < 0 for w in weights):
-        raise ValueError("stationary solve produced a sign change (internal error)")
+        raise AssertionError("stationary solve produced a sign change (internal error)")
     return Distribution(dict(zip(p.states, weights)))
 
 
@@ -222,7 +219,7 @@ def simulate(p: StochasticMatrix, steps: int, seed: int) -> Distribution:
     seed).  steps = 0 degenerates to a point mass at the start state.
     """
     if steps < 0:
-        raise ValueError("steps must be nonnegative")
+        raise InputError("steps must be nonnegative")
     if steps == 0:
         return Distribution({p.states[0]: Fraction(1)})
     rng = random.Random(seed)

@@ -3,10 +3,12 @@
 Every subcommand prints a single JSON document (default) whose "config" field
 echoes every parsed argument, or pretty text with the same config in a
 comment header; commands whose result is a table also offer CSV.  Exit
-codes: 0 success, 1 usage, domain and bound errors (with a structured error
-object on stderr), 2 mathematical findings (a FAIL verdict or a failed
-verification check) so pipelines can tell discoveries from crashes.  Output
-is byte-deterministic given the arguments and seed.
+codes: 0 success, 1 a refusal, that is any FreeprobError (usage, domain,
+bound and precision errors, with a structured error object on stderr), 2
+mathematical findings (a FAIL verdict or a failed verification check) so
+pipelines can tell discoveries from crashes.  Any other exception is a bug
+and ends in a traceback.  Output is byte-deterministic given the arguments
+and seed.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import cumulants as cumulants_mod
 from . import hopf as hopf_mod
 from . import partitions as partitions_mod
 from . import trees as trees_mod
-from .errors import BoundExceededError, FreeprobError, UsageError
+from .errors import BoundExceededError, FreeprobError, InputError, UsageError
 from .transforms import (
     G_eval,
     cf_eval,
@@ -35,6 +37,7 @@ from .transforms import (
     f_trajectory,
     fid_test,
     formal_phi_ode_check,
+    mu_c_parameter,
     riccati_residual,
     voiculescu_phi,
 )
@@ -49,6 +52,19 @@ def _parse_seq(text: str) -> list[Fraction]:
         return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+
+
+def _finite(text: str) -> float:
+    """An option's float, refused unless finite (argparse's own message otherwise)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 # Grid point bounds for `transform`: phi is the slowest op, at up to 72 ms a
@@ -70,11 +86,13 @@ def _parse_grid(spec: str, max_points: int) -> list[complex]:
         nx, ny = int(nx), int(ny)
         x0, x1, y0, y1 = float(x0), float(x1), float(y0), float(y1)
     except ValueError as exc:
-        raise ValueError(f"malformed grid spec {spec!r}; expected x0:x1:nx,y0:y1:ny") from exc
+        raise InputError(f"malformed grid spec {spec!r}; expected x0:x1:nx,y0:y1:ny") from exc
     if nx * ny > max_points:
         raise BoundExceededError(f"grid bound is nx * ny <= {max_points} points at this precision")
     xs = [x0 + (x1 - x0) * i / max(nx - 1, 1) for i in range(nx)]
     ys = [y0 + (y1 - y0) * j / max(ny - 1, 1) for j in range(ny)]
+    if not all(map(math.isfinite, xs + ys)):
+        raise InputError(f"grid spec {spec!r} has a value that is not a finite number")
     return [complex(x, y) for y in ys for x in xs]
 
 
@@ -82,9 +100,11 @@ def _parse_range(spec: str) -> list[float]:
     try:
         lo, hi, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
-        raise ValueError(f"malformed range spec {spec!r}; expected lo:hi:step") from exc
+        raise InputError(f"malformed range spec {spec!r}; expected lo:hi:step") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise InputError(f"range spec {spec!r} has a value that is not a finite number")
     if step <= 0:
-        raise ValueError("range step must be positive")
+        raise InputError("range step must be positive")
     check_steps(lo, hi, step)
     out = []
     value = lo
@@ -92,6 +112,14 @@ def _parse_range(spec: str) -> list[float]:
         out.append(round(value, 12))
         value += step
     return out
+
+
+def _binary64(v: Fraction):
+    """float(v), or None (JSON null, an empty CSV field) beyond the binary64 range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return None
 
 
 def _config(args) -> dict:
@@ -114,7 +142,7 @@ def _emit(args, result, rows=None, header=None) -> None:
         print(f"# config: {json.dumps(config, sort_keys=True, default=str)}")
         print(",".join(header))
         for row in rows:
-            print(",".join(str(v) for v in row))
+            print(",".join("" if v is None else str(v) for v in row))
     else:  # pretty
         print(f"# {json.dumps(config, sort_keys=True, default=str)}")
         _pretty(result)
@@ -168,8 +196,9 @@ def _cmd_cumulants(args) -> int:
         ("boolean", "to-moments"): cumulants_mod.moments_from_boolean,
     }[(args.kind, args.direction)]
     out = convert(args.seq)
-    rows = [(n, v, float(v)) for n, v in enumerate(out)]
-    result = {"values": out, "decimal": [float(v) for v in out]}
+    decimal = [_binary64(v) for v in out]
+    rows = list(zip(range(len(out)), out, decimal))
+    result = {"values": out, "decimal": decimal}
     _emit(args, result, rows, ("n", "value", "decimal"))
     return EXIT_OK
 
@@ -240,8 +269,10 @@ def _cmd_dyck(args) -> int:
 def _tree(text: str):
     try:
         return hopf_mod.tree_from_nested(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"tree is not valid JSON: {exc}") from None
     except RecursionError:
-        raise ValueError("tree nested too deeply to read") from None
+        raise InputError("tree nested too deeply to read") from None
 
 
 def _terms(comb: dict) -> dict:
@@ -260,6 +291,8 @@ def _cmd_hopf(args) -> int:
     if args.action == "product":
         _emit(args, _terms(hopf_mod.lr_product(_tree(args.left), _tree(args.right))))
     elif args.action == "hilbert":
+        if args.max < 0:
+            raise InputError("--max must be nonnegative")
         dims = [hopf_mod.hilbert_dimension(n) for n in range(args.max + 1)]
         _emit(args, dims, list(enumerate(dims)), ("n", "dimension"))
     elif args.action == "laws":
@@ -282,7 +315,7 @@ def _cmd_hopf(args) -> int:
 
 
 def _cmd_fid(args) -> int:
-    report = fid_test(Fraction(args.c), args.order)
+    report = fid_test(args.c, args.order)
     _emit(args, report.to_json())
     return EXIT_FINDING if report.verdict == "FAIL" else EXIT_OK
 
@@ -311,7 +344,7 @@ _TRANSFORM_OPS = {
 
 
 def _cmd_transform(args) -> int:
-    c = Fraction(args.c)
+    c = mu_c_parameter(args.c, binary64=True)
     columns, evaluate = _TRANSFORM_OPS[args.op]
     header = ("re_z", "im_z", *columns)
     if args.dps is not None and not 1 <= args.dps <= MAX_DPS:
@@ -325,7 +358,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_trajectory(args) -> int:
-    report = f_trajectory(Fraction(args.c), r_lo=args.r_lo, r_hi=args.r_hi)
+    report = f_trajectory(args.c, r_lo=args.r_lo, r_hi=args.r_hi)
     # c, r_lo and r_hi are echoed in the config; the raw samples stay off the wire
     result = {
         f.name: getattr(report, f.name)
@@ -337,7 +370,7 @@ def _cmd_trajectory(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    c = Fraction(args.c)
+    c = mu_c_parameter(args.c, binary64=True)
     rows = [
         (u, density_eval(c, u, eps=args.eps, richardson=args.richardson))
         for u in _parse_range(args.range)
@@ -474,7 +507,7 @@ def _cmd_check(args) -> int:
     if args.target != "all":
         checks = [(name, fn) for name, fn in checks if name.startswith(args.target)]
         if not checks:
-            raise ValueError(f"no checks for target {args.target!r}")
+            raise InputError(f"no checks for target {args.target!r}")
     results = {name: "ok" if fn() else "FAIL" for name, fn in checks}
     _emit(args, results, sorted(results.items()), ("check", "status"))
     return EXIT_FINDING if "FAIL" in results.values() else EXIT_OK
@@ -562,21 +595,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", required=True)
     p.add_argument("--grid", default="-2:2:5,0.6:3:5", help="x0:x1:nx,y0:y1:ny")
     p.add_argument("--op", choices=tuple(_TRANSFORM_OPS), default="g")
-    p.add_argument("--step", type=float, default=1e-5, help="difference step (riccati)")
-    p.add_argument("--tol", type=float, default=1e-11, help="tolerance (cf and phi ops)")
+    p.add_argument("--step", type=_finite, default=1e-5, help="difference step (riccati)")
+    p.add_argument("--tol", type=_finite, default=1e-11, help="tolerance (cf and phi ops)")
     p.add_argument("--dps", type=int, default=None, help="extended precision digits")
 
     p = command(
         commands, "trajectory", _cmd_trajectory, False, "imaginary-axis flow verifier (-1 < c < 0)"
     )
     p.add_argument("--c", required=True)
-    p.add_argument("--r-lo", type=float, default=-16.0)
-    p.add_argument("--r-hi", type=float, default=12.0)
+    p.add_argument("--r-lo", type=_finite, default=-16.0)
+    p.add_argument("--r-hi", type=_finite, default=12.0)
 
     p = command(commands, "density", _cmd_density, True, "density along the real line")
     p.add_argument("--c", required=True)
     p.add_argument("--range", default="-4:4:0.01", help="lo:hi:step")
-    p.add_argument("--eps", type=float, default=1e-6)
+    p.add_argument("--eps", type=_finite, default=1e-6)
     p.add_argument("--richardson", action="store_true")
 
     p = command(commands, "check", _cmd_check, True, "run the invariant suite")
@@ -599,7 +632,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_ERROR
-    except (FreeprobError, ValueError, ArithmeticError) as exc:
+    except FreeprobError as exc:
         print(
             json.dumps(
                 {"error": {"type": type(exc).__name__, "message": str(exc)}}, sort_keys=True

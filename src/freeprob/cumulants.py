@@ -28,7 +28,7 @@ from math import gcd
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from .errors import BoundExceededError
+from .errors import BoundExceededError, InputError
 from .partitions import (
     LatticeKind,
     classify,
@@ -92,12 +92,12 @@ def _fracs(seq: Iterable) -> list[Fraction]:
 
 def _require_moments(m: Sequence[Fraction]) -> None:
     if not m or m[0] != 1:
-        raise ValueError("a moment sequence must start with m_0 = 1")
+        raise InputError("a moment sequence must start with m_0 = 1")
 
 
 def _require_order(seq: Sequence[Fraction], order: int) -> None:
     if not 1 <= order < len(seq):
-        raise ValueError(f"order must be between 1 and {len(seq) - 1}, the last index of the sequence")
+        raise InputError(f"order must be between 1 and {len(seq) - 1}, the last index of the sequence")
 
 
 def _triangular_solve(seq: Sequence, kind: str, to_moments: bool) -> list[Fraction]:
@@ -117,7 +117,7 @@ def _triangular_solve(seq: Sequence, kind: str, to_moments: bool) -> list[Fracti
     """
     given = _fracs(seq)
     if not given:
-        raise ValueError("the sequence must not be empty")
+        raise InputError("the sequence must not be empty")
     n = len(given) - 1
     bound = MAX_FREE_SERIES_ORDER if kind == "free" else MAX_SERIES_ORDER
     if n > bound:
@@ -304,7 +304,7 @@ def gaussian_shifted_sequence(count: int) -> list[int]:
     Bound: count <= 600.
     """
     if count < 0:
-        raise ValueError("count must be nonnegative")
+        raise InputError("count must be nonnegative")
     if count > MAX_RIORDAN_ORDER:
         raise BoundExceededError(f"shifted-sequence bound is count <= {MAX_RIORDAN_ORDER}")
     s = [0] * (count + 1)
@@ -323,7 +323,7 @@ def gaussian_free_cumulants(order: int) -> list[int]:
     sequence.  Bound: order <= 602.
     """
     if order < 2:
-        raise ValueError("order must be at least 2")
+        raise InputError("order must be at least 2")
     if order > MAX_RIORDAN_ORDER + 2:
         raise BoundExceededError(f"Riordan recursion bound is order <= {MAX_RIORDAN_ORDER + 2}")
     s = gaussian_shifted_sequence(max(order - 2, 0))
@@ -379,7 +379,7 @@ def nc_innerpoint_sum(two_n: int) -> int:
     if two_n == 0:
         return 1
     if two_n % 2:
-        raise ValueError("two_n must be even")
+        raise InputError("two_n must be even")
     total = 0
     for p in enumerate_pairings(two_n, LatticeKind.NONCROSSING):
         prod = 1
@@ -398,7 +398,7 @@ def dilate_free(free: Sequence, factor) -> list[Fraction]:
 def _convolve(a: Sequence, b: Sequence) -> list[Fraction]:
     fa, fb = _fracs(a), _fracs(b)
     if len(fa) != len(fb):
-        raise ValueError("cumulant sequences must have equal length")
+        raise InputError("cumulant sequences must have equal length")
     return [x + y for x, y in zip(fa, fb)]
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .errors import BoundExceededError
+from .errors import BoundExceededError, InputError
 from .trees import enumerate_trees, tree_size
 
 __all__ = [
@@ -130,11 +130,11 @@ def is_ordered(t: Tree) -> bool:
 def graft(s: Tree, k: int, t: Tree) -> LabeledTree:
     """New root labeled k with left subtree s and right subtree t.
 
-    Raises ValueError when the label sets (including k) are not disjoint.
+    Raises InputError when the label sets (including k) are not disjoint.
     """
     left, right = labels_of(s), labels_of(t)
     if (left & right) or k in left or k in right:
-        raise ValueError("label clash in graft")
+        raise InputError("label clash in graft")
     return LabeledTree(k, s, t)
 
 
@@ -149,7 +149,7 @@ def _require_size(n: int, bound: int, what: str) -> None:
 
 def _require_ordered(t: Tree) -> None:
     if not is_ordered(t):
-        raise ValueError(f"not an anti-increasingly ordered tree: {tree_to_nested(t)}")
+        raise InputError(f"not an anti-increasingly ordered tree: {tree_to_nested(t)}")
 
 
 def _closed_op(op, s: Tree, t: Tree, what: str):
@@ -180,7 +180,7 @@ def enumerate_ordered_trees(n: int) -> list:
     Order: shape by shape, then lexicographic in the preorder label tuple.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise InputError("n must be nonnegative")
     if n > MAX_ORDERED_ENUM:
         raise BoundExceededError(f"ordered-tree enumeration bound is n <= {MAX_ORDERED_ENUM}")
     labels = tuple(range(1, n + 1))
@@ -341,6 +341,8 @@ def _law_sweep(max_size: int, law) -> CheckResult:
     tables local to this sweep, so each is taken once per argument; the trees
     are ordered by construction.  Bound: max_size <= 4, checked before any enumeration.
     """
+    if max_size < 0:
+        raise InputError("max_size must be nonnegative")
     if max_size > MAX_LAW_SIZE:
         raise BoundExceededError(f"Hopf law bound is max_size <= {MAX_LAW_SIZE}")
     delta = lru_cache(maxsize=None)(_coproduct)  # tables local to this sweep
@@ -484,12 +486,12 @@ def tree_from_nested(data) -> Tree:
     if data is None:
         return None
     if not isinstance(data, (list, tuple)) or not data:
-        raise ValueError(f"malformed tree encoding: {data!r}")
+        raise InputError(f"malformed tree encoding: {data!r}")
     label = data[0]
     if not isinstance(label, int) or isinstance(label, bool):
-        raise ValueError(f"tree label must be an integer: {label!r}")
+        raise InputError(f"tree label must be an integer: {label!r}")
     if len(data) == 1:
         return LabeledTree(label)
     if len(data) == 3:
         return LabeledTree(label, tree_from_nested(data[1]), tree_from_nested(data[2]))
-    raise ValueError(f"malformed tree encoding: {data!r}")
+    raise InputError(f"malformed tree encoding: {data!r}")

@@ -18,7 +18,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .errors import BoundExceededError
+from .errors import BoundExceededError, InputError
 
 __all__ = [
     "Partition",
@@ -54,11 +54,11 @@ MAX_MOEBIUS_NONCROSSING = 9
 MAX_MOEBIUS_INTERVAL = 13
 
 
-class LatticeOrderError(ValueError):
+class LatticeOrderError(InputError):
     """Moebius query on a pair that is not comparable in the lattice."""
 
 
-class LatticeMembershipError(ValueError):
+class LatticeMembershipError(InputError):
     """Partition does not belong to the requested lattice."""
 
 
@@ -81,13 +81,13 @@ class Partition:
         seen: set[int] = set()
         for block in canon:
             if not block:
-                raise ValueError("empty block")
+                raise InputError("empty block")
             for x in block:
                 if x in seen:
-                    raise ValueError(f"element {x} repeated")
+                    raise InputError(f"element {x} repeated")
                 seen.add(x)
         if seen != set(range(1, self.n + 1)):
-            raise ValueError(f"blocks do not cover 1..{self.n}: {canon}")
+            raise InputError(f"blocks do not cover 1..{self.n}: {canon}")
 
     @classmethod
     def of(cls, n: int, blocks: Iterable[Iterable[int]]) -> "Partition":
@@ -148,7 +148,7 @@ def enumerate_partitions(n: int, kind: LatticeKind = LatticeKind.ALL) -> list[Pa
     extension leaves alone is shared, not copied.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InputError("n must be positive")
     bound = {
         LatticeKind.ALL: MAX_ENUM_ALL,
         LatticeKind.NONCROSSING: MAX_ENUM_NONCROSSING,
@@ -187,7 +187,7 @@ def enumerate_pairings(n: int, kind: LatticeKind = LatticeKind.ALL) -> list[Part
     Bound: n <= 14.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InputError("n must be positive")
     if n > MAX_ENUM_PAIRING:
         raise BoundExceededError(f"pairing enumeration bound is n <= {MAX_ENUM_PAIRING}")
     if n % 2:

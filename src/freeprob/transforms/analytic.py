@@ -18,7 +18,8 @@ negative imaginary axis); the continued fraction does not.  The series
 suffers cancellation that grows with min(|Re z|, |Im z|), so every series
 evaluation tracks its own cancellation ratio and G_eval falls back to the
 continued fraction (or demands extended precision) when too many digits are
-lost.  Default precision is binary64; pass dps >= 16 to run on mpmath.
+lost.  Default precision is binary64; pass the keyword dps = N to run every
+step of one public call on mpmath at N digits.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from ..errors import BoundExceededError
+from ..errors import BoundExceededError, FreeprobError, InputError
+from .jacobi import mu_c_parameter
 
 __all__ = [
     "PrecisionError",
@@ -51,11 +53,11 @@ __all__ = [
 ]
 
 
-class PrecisionError(ArithmeticError):
+class PrecisionError(FreeprobError, ArithmeticError):
     """Requested accuracy is not reachable with the current settings."""
 
 
-class PoleError(ArithmeticError):
+class PoleError(FreeprobError, ArithmeticError):
     """Evaluation too close to a pole; carries a location estimate."""
 
     def __init__(self, message, location=None):
@@ -63,7 +65,7 @@ class PoleError(ArithmeticError):
         self.location = location
 
 
-class ContinuationError(ArithmeticError):
+class ContinuationError(FreeprobError, ArithmeticError):
     """Newton continuation failed; carries the last good point."""
 
     def __init__(self, message, last_target=None, last_value=None):
@@ -73,7 +75,11 @@ class ContinuationError(ArithmeticError):
 
 
 def _scoped(fn):
-    """Run the wrapped function inside mpmath.workdps(dps) when dps is set."""
+    """Run the wrapped function inside mpmath.workdps(dps) when dps is set.
+
+    Each public evaluator carries it and takes dps by keyword only, so the
+    precision is entered once per call and holds for all of its arithmetic.
+    """
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -124,7 +130,7 @@ CF_MAX_DEPTH = 1 << 17
 
 
 @_scoped
-def cf_eval(c, z, tol: float = 1e-13, depth: Optional[int] = None,
+def cf_eval(c, z, tol: float = 1e-13, depth: Optional[int] = None, *,
             dps: Optional[int] = None):
     """Backward-evaluated continued fraction for G with numerators c+k.
 
@@ -135,13 +141,11 @@ def cf_eval(c, z, tol: float = 1e-13, depth: Optional[int] = None,
     reflected Cauchy transform, not the analytic continuation, and is
     rejected.
     """
-    c = Fraction(c)
-    if c < -1:
-        raise ValueError("parameter must satisfy c >= -1")
+    c = mu_c_parameter(c, binary64=True)
     mp_mod = _mp(dps)
     w = _lift(z, mp_mod)
     if not (_im(w) > 0 or abs(w) >= 40):
-        raise ValueError("continued fraction needs Im z > 0 or |z| >= 40")
+        raise InputError("continued fraction needs Im z > 0 or |z| >= 40")
     if c == -1:
         return 1 / w
     cval = _real(c, mp_mod)
@@ -154,7 +158,7 @@ def cf_eval(c, z, tol: float = 1e-13, depth: Optional[int] = None,
 
     if depth is not None:
         if depth < 1:
-            raise ValueError("depth must be at least 1")
+            raise InputError("depth must be at least 1")
         return approximant(depth)
     if _im(w) > 0 and _im(w) < CF_MIN_IM and abs(w) < 40:
         raise PrecisionError(
@@ -180,7 +184,6 @@ def cf_eval(c, z, tol: float = 1e-13, depth: Optional[int] = None,
 SERIES_MAX_TERMS = 200_000
 
 
-@_scoped
 def _phi_pair(c, z, dps: Optional[int] = None):
     """(phi_e, phi_e', phi_o, phi_o', scale) for the even/odd solutions of
     phi'' + z phi' + c phi = 0 with phi_e(0) = 1, phi_o'(0) = 1.
@@ -237,7 +240,6 @@ def _phi_mixture_ratio(c: Fraction, dps: Optional[int]):
     return -(dpe + cval * g0 * pe) / (dpo + cval * g0 * po)
 
 
-@_scoped
 def _gauss_G(z, dps: Optional[int] = None):
     """(G(z), cancellation ratio) for the Gaussian closed form
     exp(-z^2/2) (-i sqrt(pi/2) + E(z)), E(z) = sum z^{2k+1}/((2k+1) 2^k k!)."""
@@ -324,7 +326,7 @@ def _series_trusted(cancel: float, w, dps: Optional[int]) -> bool:
 
 
 @_scoped
-def G_eval(c, z, dps: Optional[int] = None):
+def G_eval(c, z, *, dps: Optional[int] = None):
     """Cauchy transform of the measure with Jacobi numerators c+1, c+2, ...
 
     Uses the entire-series branch while its measured cancellation leaves
@@ -333,10 +335,7 @@ def G_eval(c, z, dps: Optional[int] = None):
     continuation), otherwise the continued fraction in the upper half-plane.
     c = -1 returns 1/z.
     """
-    c = Fraction(c)
-    if c < -1:
-        raise ValueError("parameter must satisfy c >= -1")
-    return _routed_G(c, z, dps)
+    return _routed_G(mu_c_parameter(c, binary64=True), z, dps)
 
 
 def _routed_G(c: Fraction, z, dps: Optional[int], series=None):
@@ -345,6 +344,8 @@ def _routed_G(c: Fraction, z, dps: Optional[int], series=None):
     mp_mod = _mp(dps)
     w = _lift(z, mp_mod)
     if c == -1:
+        if w == 0:
+            raise PoleError("G of the point mass at 0 has its pole at z = 0", location=0)
         return 1 / w
     if _series_overflow_safe(w, dps):
         value, cancel = _series_G_value(c, w, dps, series)
@@ -365,12 +366,10 @@ def _routed_G(c: Fraction, z, dps: Optional[int], series=None):
 
 
 @_scoped
-def F_eval(c, z, dps: Optional[int] = None):
+def F_eval(c, z, *, dps: Optional[int] = None):
     """Reciprocal transform F = 1/G, via -c phi / phi' on the series branch;
     where that quotient loses too many digits, 1/G by G_eval's routes."""
-    c = Fraction(c)
-    if c < -1:
-        raise ValueError("parameter must satisfy c >= -1")
+    c = mu_c_parameter(c, binary64=True)
     mp_mod = _mp(dps)
     w = _lift(z, mp_mod)
     if c == -1:
@@ -394,9 +393,12 @@ class RiccatiResiduals:
     f_form: float  # |F' - (-F^2 + z F - c)|
 
 
-def riccati_residual(c, z, step: float = 1e-5, dps: Optional[int] = None) -> RiccatiResiduals:
+@_scoped
+def riccati_residual(c, z, step: float = 1e-5, *, dps: Optional[int] = None) -> RiccatiResiduals:
     """Central-difference residuals of the Riccati equations for G and F."""
-    c = Fraction(c)
+    c = mu_c_parameter(c, binary64=True)
+    if step == 0:
+        raise InputError("difference step must be nonzero")
     h = step
     gp = (G_eval(c, z + h, dps=dps) - G_eval(c, z - h, dps=dps)) / (2 * h)
     g = G_eval(c, z, dps=dps)
@@ -407,14 +409,15 @@ def riccati_residual(c, z, step: float = 1e-5, dps: Optional[int] = None) -> Ric
     return RiccatiResiduals(float(g_res), float(f_res))
 
 
-def decomposition_residual(c, z, dps: Optional[int] = None) -> float:
+@_scoped
+def decomposition_residual(c, z, *, dps: Optional[int] = None) -> float:
     """|G_{c+1}(z) - (z - F_c(z)) / (c+1)| with the two sides evaluated by
     independent routes (continued fraction vs entire series).
 
     At c = -1 the identity degenerates (F is the identity map); the returned
     number is then the Gaussian cross-route gap |G_cf - G_series| at z.
     """
-    c = Fraction(c)
+    c = mu_c_parameter(c, binary64=True)
     if c == -1:
         series, _ = _gauss_G(z, dps=dps)
         return float(abs(cf_eval(0, z, dps=dps) - series))
@@ -423,27 +426,29 @@ def decomposition_residual(c, z, dps: Optional[int] = None) -> float:
     return float(abs(lhs - rhs))
 
 
-def dilation_residual(c, z, dps: Optional[int] = None) -> float:
+@_scoped
+def dilation_residual(c, z, *, dps: Optional[int] = None) -> float:
     """Residual of the variance-one dilation identity
     F_c(z sqrt(c+1)) / sqrt(c+1) = z - sqrt(c+1) G_{c+1}(z sqrt(c+1))."""
-    c = Fraction(c)
-    if c <= -1:
-        raise ValueError("dilation identity needs c > -1")
+    c = mu_c_parameter(c, binary64=True)
+    if c == -1:
+        raise InputError("dilation identity needs c > -1")
     root = math.sqrt(float(c) + 1)
     lhs = F_eval(c, z * root, dps=dps) / root
     rhs = z - root * cf_eval(c + 1, z * root, dps=dps)
     return float(abs(lhs - rhs))
 
 
-def density_eval(c, u: float, eps: float = 1e-6, richardson: bool = False,
+@_scoped
+def density_eval(c, u: float, eps: float = 1e-6, richardson: bool = False, *,
                  dps: Optional[int] = None) -> float:
     """Density at u via the boundary value -(1/pi) Im G(u + i eps).
 
     With richardson=True the order-eps Poisson bias is removed by evaluating
     at eps and eps/2 and extrapolating.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:
+        raise InputError("eps must be positive")
 
     def one(e: float) -> float:
         return -float(G_eval(c, complex(u, e), dps=dps).imag) / math.pi
@@ -457,19 +462,22 @@ def density_eval(c, u: float, eps: float = 1e-6, richardson: bool = False,
 # ------------------------------------------------------------ inverse transform
 
 
-def voiculescu_phi(c, z, tol: float = 1e-11, dps: Optional[int] = None):
+@_scoped
+def voiculescu_phi(c, z, tol: float = 1e-11, *, dps: Optional[int] = None):
     """phi(z) = F^{-1}(z) - z by damped Newton with downward continuation.
 
     Continuation targets z + i T, T = 10 (1 + |z|) halving until it drops
     below tol; Newton uses the exact derivative F' = -F^2 + wF - c.  Raises
     ContinuationError (with the last good stage) if a stage fails.
     """
-    c = Fraction(c)
+    c = mu_c_parameter(c, binary64=True)
     if c == -1:
         return 0j
     z = complex(z)
     if z.imag <= 0:
-        raise ValueError("the inverse transform is defined on the upper half-plane")
+        raise InputError("the inverse transform is defined on the upper half-plane")
+    if tol < 0:
+        raise InputError("tol must be nonnegative")
     t = 10.0 * (1.0 + abs(z))
     targets = []
     while t > tol:
@@ -566,7 +574,7 @@ def check_steps(lo: float, hi: float, step: float) -> None:
     """Reject a walk between lo and hi in steps of size step that would never
     end (step below the float spacing there) or take over MAX_SAMPLES samples."""
     if lo + step == lo or hi + step == hi:
-        raise ValueError(f"step {step} does not change the values between {lo} and {hi}")
+        raise InputError(f"step {step} does not change the values between {lo} and {hi}")
     if (hi - lo) / step >= MAX_SAMPLES:
         raise BoundExceededError(f"sample bound is {MAX_SAMPLES} points per walk")
 
@@ -578,12 +586,12 @@ def f_trajectory(c, r_lo: float = -16.0, r_hi: float = 12.0) -> FTrajectoryRepor
     continued fraction at i r_hi; RK4 steps of TRAJECTORY_STEP follow.  Assertion failures are collected in the report
     (a finding, not an exception).
     """
-    cfrac = Fraction(c)
-    if not (Fraction(-1) < cfrac < 0):
-        raise ValueError("the trajectory verifier needs -1 < c < 0")
+    cfrac = mu_c_parameter(c)
+    if not -1 < cfrac < 0:
+        raise InputError("the trajectory verifier needs -1 < c < 0")
     cf = float(cfrac)
     if r_lo >= r_hi:
-        raise ValueError("need r_lo < r_hi")
+        raise InputError("need r_lo < r_hi")
     check_steps(r_lo, r_hi, TRAJECTORY_STEP)
     f = complex(1 / cf_eval(cfrac, complex(0.0, r_hi)) / 1j).real
     samples = [(r_hi, f, f * f - r_hi * f - cf)]

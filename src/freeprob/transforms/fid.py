@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ..errors import BoundExceededError
-from .jacobi import pivot_signs
+from ..errors import BoundExceededError, InputError
+from .jacobi import mu_c_parameter, pivot_signs
 
 __all__ = [
     "FidReport",
@@ -53,11 +53,11 @@ def free_cumulants_of_mu_c(c, order: int) -> list[Fraction]:
 
 
 def _budgeted(c, order: int) -> Fraction:
-    """c as a Fraction, once order and the numerator and denominator of c
-    are within the exact-arithmetic budget."""
+    """c as a checked Fraction (mu_c_parameter), once order and the numerator
+    and denominator of c are within the exact-arithmetic budget."""
     if order > MAX_EXACT_ORDER:
         raise BoundExceededError(f"exact-arithmetic budget is order <= {MAX_EXACT_ORDER}")
-    c = Fraction(c)
+    c = mu_c_parameter(c)
     if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_C_BITS:
         raise BoundExceededError(
             f"exact-arithmetic budget is c with numerator and denominator of at most {MAX_C_BITS} bits"
@@ -66,10 +66,8 @@ def _budgeted(c, order: int) -> Fraction:
 
 
 def _free_cumulants(c: Fraction, order: int) -> list[Fraction]:
-    if c < -1:
-        raise ValueError("parameter must satisfy c >= -1")
     if order < 0:
-        raise ValueError("order must be nonnegative")
+        raise InputError("order must be nonnegative")
     # r[j] = fc_{j+1}; even-index r vanish by symmetry, so only even m appear.
     # With c = p/q, R[j] = q^(j//2+1) r[j] is an integer: R[1] = p + q and
     # R[m+1] = q (m-1) R[m-1] + sum_{i=3,5..m-1} (m-i) R[i] R[m-i], no gcds;
@@ -144,7 +142,7 @@ def fid_test(c, order: int) -> FidReport:
     Bound: order <= 400, c of at most 128 bits.
     """
     if order < 4:
-        raise ValueError("order must be at least 4")
+        raise InputError("order must be at least 4")
     c = _budgeted(c, order)
     start = time.monotonic()
     s = shifted_sequence_of_mu_c(c, order)
@@ -201,7 +199,7 @@ def formal_phi_ode_check(order: int, sequence: Optional[Sequence] = None) -> Ode
     else:
         s = [Fraction(x) for x in sequence]
         if len(s) < order + 1:
-            raise ValueError(f"need s_0..s_{order}, got {len(s)} entries")
+            raise InputError(f"need s_0..s_{order}, got {len(s)} entries")
     if s[0] != 1:
         return OdeCheckResult(False, 0)
     if order >= 1 and s[1] != 0:

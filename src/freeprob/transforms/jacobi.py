@@ -24,12 +24,13 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Dec
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ..errors import BoundExceededError
+from ..errors import BoundExceededError, InputError
 
 __all__ = [
     "JacobiParams",
     "JacobiFit",
     "mu_c_jacobi",
+    "mu_c_parameter",
     "moments_from_jacobi",
     "jacobi_from_moments",
     "PivotSigns",
@@ -46,11 +47,33 @@ class JacobiParams:
 
     def __post_init__(self):
         if len(self.alpha) != len(self.beta):
-            raise ValueError("alpha and beta must have equal length")
+            raise InputError("alpha and beta must have equal length")
 
     @property
     def depth(self) -> int:
         return len(self.beta)
+
+
+def mu_c_parameter(c, binary64: bool = False) -> Fraction:
+    """The parameter c of mu_c as a Fraction; c may be a number or a string
+    such as "9/10".
+
+    Raises InputError unless c is a rational c >= -1 (beta_1 = c + 1 must
+    not be negative), and with binary64=True, as the floating-point routes
+    need, also unless c has a binary64 value.
+    """
+    try:
+        c = Fraction(c)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise InputError(f"parameter c must be a rational number, not {c!r}") from None
+    if c < -1:
+        raise InputError("parameter must satisfy c >= -1")
+    if binary64:
+        try:
+            float(c)
+        except OverflowError:
+            raise InputError("parameter c is beyond the binary64 range") from None
+    return c
 
 
 def mu_c_jacobi(c, depth: int) -> JacobiParams:
@@ -58,11 +81,9 @@ def mu_c_jacobi(c, depth: int) -> JacobiParams:
 
     Requires c >= -1; at c = -1 every beta is set to 0 (point mass at 0).
     """
-    c = Fraction(c)
+    c = mu_c_parameter(c)
     if depth < 1:
-        raise ValueError("depth must be positive")
-    if c < -1:
-        raise ValueError("parameter must satisfy c >= -1")
+        raise InputError("depth must be positive")
     if c == -1:
         beta = tuple(Fraction(0) for _ in range(depth))
     else:
@@ -79,7 +100,7 @@ def moments_from_jacobi(params: JacobiParams, order: int) -> list[Fraction]:
     depth >= ceil(order / 2).
     """
     if order < 0:
-        raise ValueError("order must be nonnegative")
+        raise InputError("order must be nonnegative")
     if order > 2 * params.depth:
         raise BoundExceededError(
             f"order {order} needs at least {(order + 1) // 2} recurrence levels, "
@@ -126,11 +147,6 @@ class JacobiFit:
     pivots: list[Fraction]
     breakdown_index: Optional[int]
     breakdown_sign: Optional[int]
-
-    @property
-    def params(self) -> JacobiParams:
-        depth = min(len(self.alpha), len(self.beta))
-        return JacobiParams(tuple(self.alpha[:depth]), tuple(self.beta[:depth]))
 
 
 def jacobi_from_moments(moments: Sequence, depth: Optional[int] = None) -> JacobiFit:
@@ -265,7 +281,7 @@ def _sigma_scan(values: list, depth: Optional[int], sign, symmetric: bool) -> Ja
     (every odd moment is exactly 0) makes alpha and each sigma[k][l] with
     k + l odd exactly 0, so only even anti-diagonals are filled."""
     if not values:
-        raise ValueError("moment list is empty")
+        raise InputError("moment list is empty")
     top = len(values) - 1
     if depth is None:
         depth = top // 2

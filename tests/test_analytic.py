@@ -272,9 +272,25 @@ def test_voiculescu_pinned_values():
     assert repr(voiculescu_phi(F(1, 2), 2 + 0.2j, tol=1e-8)) == (
         "(0.7731114786579178-0.3013630532515589j)"
     )
+    # at dps=30 every step of the call runs at 30 digits (the real part
+    # agrees with the tol=1e-22 value 0.0565334833019617714); the pin
+    # 0.056533483301961784 recorded a Newton loop that ran at 53 bits
     assert repr(voiculescu_phi(F(-1, 2), 0.3 + 1j, dps=30)) == (
-        "mpc(real='0.056533483301961784', imag='-0.32901695661715613')"
+        "mpc(real='0.056533483301961771', imag='-0.32901695661715613')"
     )
+
+
+def test_dps_holds_through_the_whole_call():
+    import mpmath
+
+    # dps is keyword-only: a positional one is refused, not ignored
+    with pytest.raises(TypeError):
+        cf_eval(F(1, 2), 1 + 1j, 1e-25, None, 30)
+    # phi's own Newton steps run at dps too, so a tolerance below binary64 is reached
+    z = 0.5 + 1j
+    phi = voiculescu_phi(F(-1, 2), z, tol=1e-22, dps=30)
+    with mpmath.workdps(40):
+        assert abs(F_eval(F(-1, 2), z + phi, dps=40) - z) < mpmath.mpf("1e-28")
 
 
 def test_f_trajectory_shape_checks():

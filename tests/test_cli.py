@@ -251,12 +251,42 @@ def test_cumulant_conversion_bytes_pinned(capsys, argv, stdout):
     assert run(capsys, "cumulants", *argv) == (0, stdout, "")
 
 
+def test_exact_conversion_beyond_binary64_prints_null_decimals(capsys):
+    # m_n = 1000^n: exact at every n, but past n = 102 it has no binary64 value
+    seq = "0,1000" + ",0" * 168
+    argv = ["cumulants", "--kind", "classical", "--direction", "to-moments", "--seq", seq]
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0
+    values, decimal = doc["result"]["values"], doc["result"]["decimal"]
+    assert values == [str(1000**n) for n in range(170)]
+    assert decimal[:103] == [float(1000**n) for n in range(103)]
+    assert decimal[103:] == [None] * 67
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = out.splitlines()[2:]
+    assert rows[102] == f"102,{1000**102},{float(1000**102)}"
+    assert rows[103] == f"103,{1000**103},"
+
+
+def test_finite_float_options_echo_unchanged(capsys):
+    code, doc, _ = run_json(capsys, "trajectory", "--c=-1/2", "--r-lo=-8", "--r-hi", "1e1")
+    assert code == 0
+    assert (doc["config"]["r_lo"], doc["config"]["r_hi"]) == (-8.0, 10.0)
+    code, doc, _ = run_json(capsys, "density", "--c", "0", "--range=0:0:1", "--eps", "2.5e-3")
+    assert code == 0
+    assert doc["config"]["eps"] == 0.0025
+    argv = ["transform", "--c", "0", "--grid=0:0:1,1:1:1", "--op", "riccati", "--step=-1e-4"]
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["config"]["step"] == -1e-4
+
+
 @pytest.mark.parametrize("kind", ["classical", "free", "boolean"])
 def test_empty_cumulant_sequence_exit_one(capsys, kind):
     code, out, err = run(capsys, "cumulants", "--kind", kind, "--direction", "to-moments", "--seq", ",")
     assert code == 1
     assert out == ""
-    assert json.loads(err)["error"]["type"] == "ValueError"
+    assert json.loads(err)["error"]["type"] == "InputError"
 
 
 def test_dyck_factorial_non_dyck_word_exit_one(capsys):
@@ -295,11 +325,11 @@ def test_arithmetic_error_exit_one(capsys, argv):
     [
         (["hopf", "laws", "--max-size", "99"], "BoundExceededError"),
         (["fid", "--c", "1e-400", "--order", "40"], "BoundExceededError"),
-        (["sequence", "shifted", "--max", "-1"], "ValueError"),
-        (["hopf", "antipode", "--tree", "[" * 3000 + "]" * 3000], "ValueError"),
-        (["density", "--c", "0", "--range=1e300:1e300:1"], "ValueError"),
+        (["sequence", "shifted", "--max", "-1"], "InputError"),
+        (["hopf", "antipode", "--tree", "[" * 3000 + "]" * 3000], "InputError"),
+        (["density", "--c", "0", "--range=1e300:1e300:1"], "InputError"),
         (["density", "--c", "0", "--range=0:1e6:1"], "BoundExceededError"),
-        (["trajectory", "--c=-1/2", "--r-hi", "1e300"], "ValueError"),
+        (["trajectory", "--c=-1/2", "--r-hi", "1e300"], "InputError"),
         (["trajectory", "--c=-1/2", "--r-lo=-1e6"], "BoundExceededError"),
     ],
     ids=[
@@ -388,7 +418,7 @@ def test_non_integer_tree_label_exit_one(capsys, label):
     code, out, err = run(capsys, "hopf", "antipode", "--tree", f"[{label}]")
     assert code == 1
     assert out == ""
-    assert json.loads(err)["error"]["type"] == "ValueError"
+    assert json.loads(err)["error"]["type"] == "InputError"
 
 
 def test_transform_config_echoes_tol_and_step(capsys):

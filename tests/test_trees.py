@@ -5,6 +5,7 @@ import pytest
 from freeprob.cumulants import gaussian_shifted_sequence
 from freeprob.errors import BoundExceededError
 from freeprob.trees import (
+    MAX_DYCK_LENGTH,
     BinaryTree,
     DyckParseError,
     count_anti_increasing_labelings,
@@ -140,6 +141,18 @@ def test_owedge_rejects_non_dyck_operands():
             owedge(left, right)
     with pytest.raises(ValueError):
         owedge("", "UD")
+
+
+def test_dyck_word_bound():
+    # the longest admitted words recurse deepest with the tallest and the flattest shape
+    n = MAX_DYCK_LENGTH // 2
+    tall, flat = "U" * n + "D" * n, "UD" * n
+    assert sum(mu_operator(tall).values()) == sum(mu_operator(flat).values()) == n + 1
+    assert dyck_factorial(tall) == dyck_factorial(flat) == math.factorial(n)
+    for word in ("U" * (n + 1) + "D" * (n + 1), "UD" * (n + 1)):
+        for op in (mu_operator, nu_operator, dyck_factorial, dyck_to_tree):
+            with pytest.raises(BoundExceededError, match=str(MAX_DYCK_LENGTH)):
+                op(word)
 
 
 def test_nu_empty_and_ud():

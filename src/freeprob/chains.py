@@ -22,7 +22,6 @@ from .errors import BoundExceededError, InputError
 from .trees import (
     BinaryTree,
     _vertex_paths,
-    dyck_to_tree,
     nt_adjacency,
     enumerate_trees,
     tree_to_dyck,
@@ -83,6 +82,13 @@ class Distribution:
             raise InputError("weights must sum to 1")
 
 
+def _require_chain_size(n: int) -> None:
+    if n < 1:
+        raise InputError("n must be positive")
+    if n > MAX_CHAIN_N:
+        raise BoundExceededError(f"chain bound is n <= {MAX_CHAIN_N}")
+
+
 def _rotate_up(t: BinaryTree, path: tuple) -> BinaryTree:
     """Promote the vertex at `path` (nonempty) over its parent by one rotation."""
     if len(path) == 1:
@@ -110,10 +116,7 @@ def mtr_transition_matrix(n: int) -> StochasticMatrix:
     Entry (t, t') is (1/n) * #{vertices v of t : move_to_root(t, v) = t'}.
     States are the Dyck encodings of the shapes.  Bound: n <= 6.
     """
-    if n < 1:
-        raise InputError("n must be positive")
-    if n > MAX_CHAIN_N:
-        raise BoundExceededError(f"chain bound is n <= {MAX_CHAIN_N}")
+    _require_chain_size(n)
     trees = enumerate_trees(n)
     states = [tree_to_dyck(t) for t in trees]
     index = {w: i for i, w in enumerate(states)}
@@ -127,10 +130,7 @@ def mtr_transition_matrix(n: int) -> StochasticMatrix:
 
 def nt_transition_matrix(n: int) -> StochasticMatrix:
     """Naimi-Trehel chain on Dyck words: mu-adjacency matrix over n+1.  Bound: n <= 6."""
-    if n < 1:
-        raise InputError("n must be positive")
-    if n > MAX_CHAIN_N:
-        raise BoundExceededError(f"chain bound is n <= {MAX_CHAIN_N}")
+    _require_chain_size(n)
     words, adjacency = nt_adjacency(n)
     rows = [[Fraction(c, n + 1) for c in row] for row in adjacency]
     return StochasticMatrix(words, rows)

@@ -34,7 +34,7 @@ from .partitions import (
     classify,
     enumerate_pairings,
     enumerate_partitions,
-    moebius,
+    _moebius_column,
     statistics,
     top_partition,
 )
@@ -252,7 +252,8 @@ def cumulant_via_moebius_weights(moments: Sequence, flavour: str, order: int) ->
     """Literal Moebius-weighted inversion k_n = sum_sigma m_sigma mu(sigma, 1-hat).
 
     Slower than cumulants_via_lattice (it weights every lattice partition by
-    its Moebius value); intended as an extra cross-check at order <= 7.
+    its Moebius value, read off the column mu(., 1-hat)); intended as an
+    extra cross-check at order <= 7, within every Moebius bound.
     """
     m = _fracs(moments)
     _require_moments(m)
@@ -260,37 +261,29 @@ def cumulant_via_moebius_weights(moments: Sequence, flavour: str, order: int) ->
     if order > MAX_MOEBIUS_WEIGHTS_ORDER:
         raise BoundExceededError(f"Moebius-weighted oracle bound is order <= {MAX_MOEBIUS_WEIGHTS_ORDER}")
     _require_order(m, order)
-    top = top_partition(order)
-    total = Fraction(0)
-    for sigma in enumerate_partitions(order, kind):
-        total += _partition_weight(m, sigma) * moebius(kind, sigma, top)
-    return total
+    column = _moebius_column(kind, top_partition(order))
+    return sum((_partition_weight(m, sigma) * mu for sigma, mu in column.items()), Fraction(0))
+
+
+def _flagged_sum(seq: Sequence, order: int, kind: LatticeKind, flag: str, what: str) -> Fraction:
+    """The sum of prod_B seq_{|B|} over the partitions of {1..order} in the
+    `kind` lattice whose PartitionFlags field `flag` holds."""
+    values = _fracs(seq)
+    if order > MAX_LATTICE_ORDER:
+        raise BoundExceededError(f"{what} sum bound is order <= {MAX_LATTICE_ORDER}")
+    _require_order(values, order)
+    partitions = enumerate_partitions(order, kind)
+    return sum((_partition_weight(values, p) for p in partitions if getattr(classify(p), flag)), Fraction(0))
 
 
 def free_from_classical(classical: Sequence, order: int) -> Fraction:
     """fc_n as the sum of prod_B k_{|B|} over connected partitions of {1..n}."""
-    k = _fracs(classical)
-    if order > MAX_LATTICE_ORDER:
-        raise BoundExceededError(f"connected-partition sum bound is order <= {MAX_LATTICE_ORDER}")
-    _require_order(k, order)
-    total = Fraction(0)
-    for p in enumerate_partitions(order, LatticeKind.ALL):
-        if classify(p).connected:
-            total += _partition_weight(k, p)
-    return total
+    return _flagged_sum(classical, order, LatticeKind.ALL, "connected", "connected-partition")
 
 
 def boolean_from_free(free: Sequence, order: int) -> Fraction:
     """bc_n as the sum of prod_B fc_{|B|} over irreducible noncrossing partitions."""
-    fc = _fracs(free)
-    if order > MAX_LATTICE_ORDER:
-        raise BoundExceededError(f"irreducible-NC sum bound is order <= {MAX_LATTICE_ORDER}")
-    _require_order(fc, order)
-    total = Fraction(0)
-    for p in enumerate_partitions(order, LatticeKind.NONCROSSING):
-        if classify(p).irreducible:
-            total += _partition_weight(fc, p)
-    return total
+    return _flagged_sum(free, order, LatticeKind.NONCROSSING, "irreducible", "irreducible-NC")
 
 
 MAX_RIORDAN_ORDER = 600

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import BoundExceededError, InputError
 from .trees import enumerate_trees, tree_size
@@ -429,29 +429,23 @@ def bf_over(s: Tree, t: Tree) -> Tree:
 def _bf_cop_labeled(t: Tree) -> Counter:
     """Charge coproduct on labeled trees.
 
-    On a generator V_k(w) = graft(empty, k, w) with w = graft(s, l, t'):
-    Delta(V_k(w)) = V_k(w) x empty
-                  + (id x V_k)( Delta(s) / (Delta(V_l(t')) - V_l(t') x empty) ),
-    where / acts on tensors componentwise; on a general tree it is
-    multiplicative along the decomposition graft(s, k, w) = s / V_k(w).
+    On a generator V_k(w) = graft(empty, k, w):
+    Delta(V_k(w)) = V_k(w) x empty + sum of x x V_k(y) over the terms x x y
+    of Delta(w) whose right side y keeps the root of w (y is empty when w is).
+    Those are all terms but the part Delta(s) / (V_l(t') x empty) of
+    Delta(w) = Delta(s) / Delta(V_l(t')), w = graft(s, l, t'), where / acts on
+    tensors componentwise; on a general tree Delta is multiplicative along
+    the decomposition graft(s, k, w) = s / V_k(w).
     """
     if t is None:
         return Counter({(None, None): 1})
     if t.left is None:
-        k, w = t.label, t.right
+        w = t.right
+        root = None if w is None else w.label
         out: Counter = Counter({(t, None): 1})
-        if w is None:
-            out[(None, t)] += 1
-            return out
-        a_terms = _bf_cop_labeled(w.left)
-        generator = LabeledTree(w.label, None, w.right)
-        b_terms = _bf_cop_labeled(generator)
-        del b_terms[(generator, None)]  # the subtracted term; its coefficient is 1
-        for (a1, a2), ca in a_terms.items():
-            for (b1, b2), cb in b_terms.items():
-                left = bf_over_labeled(a1, b1)
-                right = LabeledTree(k, None, bf_over_labeled(a2, b2))
-                out[(left, right)] += ca * cb
+        for (x, y), c in _bf_cop_labeled(w).items():
+            if (None if y is None else y.label) == root:
+                out[(x, LabeledTree(t.label, None, y))] += c
         return out
     a_terms = _bf_cop_labeled(t.left)
     b_terms = _bf_cop_labeled(LabeledTree(t.label, None, t.right))

@@ -1,69 +1,8 @@
 """Analytic and exact transform layer for the Askey-Wimp-Kerov family."""
 
-from .analytic import (
-    ContinuationError,
-    F_eval,
-    FTrajectoryReport,
-    G_eval,
-    PoleError,
-    PrecisionError,
-    RiccatiResiduals,
-    cf_eval,
-    check_steps,
-    decomposition_residual,
-    density_eval,
-    dilation_residual,
-    f_trajectory,
-    riccati_residual,
-    voiculescu_phi,
-)
-from .fid import (
-    FidReport,
-    OdeCheckResult,
-    fid_test,
-    formal_phi_ode_check,
-    free_cumulants_of_mu_c,
-    shifted_sequence_of_mu_c,
-)
-from .jacobi import (
-    JacobiFit,
-    JacobiParams,
-    PivotSigns,
-    jacobi_from_moments,
-    moments_from_jacobi,
-    mu_c_jacobi,
-    mu_c_parameter,
-    pivot_signs,
-)
+from . import analytic, fid, jacobi
+from .analytic import *
+from .fid import *
+from .jacobi import *
 
-__all__ = [
-    "ContinuationError",
-    "F_eval",
-    "FTrajectoryReport",
-    "FidReport",
-    "G_eval",
-    "JacobiFit",
-    "JacobiParams",
-    "OdeCheckResult",
-    "PivotSigns",
-    "PoleError",
-    "PrecisionError",
-    "RiccatiResiduals",
-    "cf_eval",
-    "check_steps",
-    "decomposition_residual",
-    "density_eval",
-    "dilation_residual",
-    "f_trajectory",
-    "fid_test",
-    "formal_phi_ode_check",
-    "free_cumulants_of_mu_c",
-    "jacobi_from_moments",
-    "moments_from_jacobi",
-    "mu_c_jacobi",
-    "mu_c_parameter",
-    "pivot_signs",
-    "riccati_residual",
-    "shifted_sequence_of_mu_c",
-    "voiculescu_phi",
-]
+__all__ = [*analytic.__all__, *fid.__all__, *jacobi.__all__]

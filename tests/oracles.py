@@ -5,15 +5,18 @@ matrix) checks the pivot scan of `jacobi_from_moments`, `block_index`
 serves the partition oracles, `partitions_by_rgs` checks the level-by-level
 generation of `enumerate_partitions`, and `series_in_fractions` checks the
 integer triangular solve behind the six series conversions of
-`freeprob.cumulants`.
+`freeprob.cumulants`, and `bf_coproduct_by_subtraction` checks the one-rule
+charge coproduct of `freeprob.hopf`.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
 from freeprob._linalg import _forward_eliminate, clear_denominators
 from freeprob.errors import BoundExceededError
+from freeprob.hopf import LabeledTree, bf_over_labeled
 from freeprob.partitions import LatticeKind, Partition
 from freeprob.transforms import JacobiFit
 
@@ -123,3 +126,39 @@ def series_in_fractions(seq: Sequence, kind: str, to_moments: bool) -> list[Frac
         else:
             k[j] = m[j] - acc
     return m if to_moments else k
+
+
+def bf_coproduct_by_subtraction(t) -> Counter:
+    """Charge coproduct on labeled trees, with the generator term subtracted.
+
+    On a generator V_k(w) = graft(empty, k, w) with w = graft(s, l, t'):
+    Delta(V_k(w)) = V_k(w) x empty
+                  + (id x V_k)( Delta(s) / (Delta(V_l(t')) - V_l(t') x empty) ),
+    where / acts on tensors componentwise; on a general tree it is
+    multiplicative along the decomposition graft(s, k, w) = s / V_k(w).
+    """
+    if t is None:
+        return Counter({(None, None): 1})
+    if t.left is None:
+        k, w = t.label, t.right
+        out: Counter = Counter({(t, None): 1})
+        if w is None:
+            out[(None, t)] += 1
+            return out
+        a_terms = bf_coproduct_by_subtraction(w.left)
+        generator = LabeledTree(w.label, None, w.right)
+        b_terms = bf_coproduct_by_subtraction(generator)
+        del b_terms[(generator, None)]  # the subtracted term; its coefficient is 1
+        for (a1, a2), ca in a_terms.items():
+            for (b1, b2), cb in b_terms.items():
+                left = bf_over_labeled(a1, b1)
+                right = LabeledTree(k, None, bf_over_labeled(a2, b2))
+                out[(left, right)] += ca * cb
+        return out
+    a_terms = bf_coproduct_by_subtraction(t.left)
+    b_terms = bf_coproduct_by_subtraction(LabeledTree(t.label, None, t.right))
+    out = Counter()
+    for (a1, a2), ca in a_terms.items():
+        for (b1, b2), cb in b_terms.items():
+            out[(bf_over_labeled(a1, b1), bf_over_labeled(a2, b2))] += ca * cb
+    return out

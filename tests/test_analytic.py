@@ -356,3 +356,19 @@ def test_extended_precision_route():
     with mpmath.workdps(30):
         gap = abs(g30 - cf_eval(F(1, 2), 1 + 2j, tol=1e-25, dps=30))
         assert gap < mpmath.mpf("1e-20")
+
+
+def test_transforms_all_is_the_union_of_its_modules():
+    import freeprob.transforms as transforms
+    from freeprob.transforms import fid, jacobi
+
+    names = transforms.__all__
+    modules = (analytic, fid, jacobi)
+    assert len(names) == len(set(names)) == sum(len(m.__all__) for m in modules)
+    assert set(names) == set().union(*(m.__all__ for m in modules))
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(transforms, name) is getattr(module, name)
+    star: dict = {}
+    exec("from freeprob.transforms import *", star)
+    assert set(star) - {"__builtins__"} == set(names)

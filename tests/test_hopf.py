@@ -36,9 +36,11 @@ from freeprob.hopf import (
     tree_from_nested,
     tree_size,
     tree_to_nested,
+    _bf_cop_labeled,
     _cop_labeled,
     _prod_labeled,
 )
+from oracles import bf_coproduct_by_subtraction
 
 N = LabeledTree
 E = None  # the empty tree
@@ -532,10 +534,24 @@ def test_bf_counit_laws():
             assert dict(right) == {t: 1}
 
 
+def _left_chain(n):
+    t = None
+    for label in range(1, n + 1):
+        t = N(label, t, None)
+    return t
+
+
+def test_bf_one_rule_matches_subtraction_oracle():
+    # exact labeled terms, not only their canonical forms
+    trees = [t for n in range(6) for t in enumerate_ordered_trees(n)]
+    assert len(trees) == 3111
+    trees += [_left_chain(n) for n in range(6, 13)]
+    for t in trees:
+        assert _bf_cop_labeled(t) == bf_coproduct_by_subtraction(t)
+
+
 def test_bf_multiplicative():
     # Delta_BF(s / t) = Delta_BF(s) / Delta_BF(t), componentwise on tensors
-    from freeprob.hopf import _bf_cop_labeled
-
     for m in range(0, 3):
         for n in range(0, 3):
             for s in enumerate_ordered_trees(m):

@@ -14,6 +14,7 @@ and seed.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import os
@@ -30,6 +31,7 @@ from . import trees as trees_mod
 from .errors import BoundExceededError, FreeprobError, InputError, UsageError
 from .transforms import (
     G_eval,
+    PrecisionError,
     cf_eval,
     check_steps,
     decomposition_residual,
@@ -75,6 +77,10 @@ def _finite(text: str) -> float:
 MAX_GRID_POINTS = 400
 MAX_GRID_POINTS_DPS = 25
 MAX_DPS = 30
+# `sequence catalan --max`: C_n has about 0.6 n digits, and printing them
+# all costs about (--max)^3; 15,000 took 7.6-8.2 s and 115-309 MB in a fresh
+# process (2-core machine, any format), 20,000 took 18-19 s and 422 MB.
+MAX_CATALAN_ORDER = 15_000
 
 
 def _parse_grid(spec: str, max_points: int) -> list[complex]:
@@ -131,20 +137,51 @@ def _config(args) -> dict:
     return config
 
 
-def _emit(args, result, rows=None, header=None) -> None:
-    """Print `result` in args.format; csv prints `rows` under `header`.
+def _exact(v) -> str:
+    """str(v), exact for an int or Fraction of any length: Decimal(int) is
+    not held to Python's digit limit on converting an int to a string."""
+    if isinstance(v, Fraction):
+        num = _exact(v.numerator)
+        return num if v.denominator == 1 else f"{num}/{_exact(v.denominator)}"
+    if isinstance(v, int) and not isinstance(v, bool):
+        return str(decimal.Decimal(v))
+    return str(v)
 
-    Fractions print as "p/q" strings (json's default=str)."""
+
+def _refuse_non_finite(value, path: str = "result", point: str = "") -> None:
+    """Raise PrecisionError at the first float in value that is not finite,
+    naming its field and the point, the finite floats beside it: JSON has no
+    NaN or Infinity, so no format prints one."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise PrecisionError(f"{path} is {value!r}{point}; a non-finite value is not printed")
+    if isinstance(value, dict):
+        here = [f"{k}={v!r}" for k, v in value.items() if isinstance(v, float) and math.isfinite(v)]
+        point = f" at {', '.join(here)}" if here else point
+        for key, item in value.items():
+            _refuse_non_finite(item, f"{path}.{key}", point)
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _refuse_non_finite(item, f"{path}[{i}]", point)
+
+
+def _emit(args, result, rows=None, header=None) -> None:
+    """Print `result` in args.format; csv prints `rows`, built from the
+    values of `result`, under `header`.
+
+    Fractions print as "p/q" strings, and they and ints print in full at any
+    length (JSON numbers are small ints only); a result holding a non-finite
+    float is refused before anything is printed."""
+    _refuse_non_finite(result)
     config = _config(args)
     if args.format == "json":
-        print(json.dumps({"config": config, "result": result}, sort_keys=True, default=str))
+        print(json.dumps({"config": config, "result": result}, sort_keys=True, default=_exact))
     elif args.format == "csv":
-        print(f"# config: {json.dumps(config, sort_keys=True, default=str)}")
+        print(f"# config: {json.dumps(config, sort_keys=True, default=_exact)}")
         print(",".join(header))
         for row in rows:
-            print(",".join("" if v is None else str(v) for v in row))
+            print(",".join("" if v is None else _exact(v) for v in row))
     else:  # pretty
-        print(f"# {json.dumps(config, sort_keys=True, default=str)}")
+        print(f"# {json.dumps(config, sort_keys=True, default=_exact)}")
         _pretty(result)
 
 
@@ -155,12 +192,12 @@ def _pretty(result, indent: str = "") -> None:
                 print(f"{indent}{key}:")
                 _pretty(value, indent + "  ")
             else:
-                print(f"{indent}{key}: {value}")
+                print(f"{indent}{key}: {_exact(value)}")
     elif isinstance(result, list):
         for value in result:
             _pretty(value, indent)
     else:
-        print(f"{indent}{result}")
+        print(f"{indent}{_exact(result)}")
 
 
 # ------------------------------------------------------------- subcommands
@@ -176,12 +213,19 @@ def _cmd_sequence(args) -> int:
         orders = list(range(0, args.max + 1, 2))
         values = [s[k] for k in orders]
     else:  # catalan
+        if args.max < 0:
+            raise InputError("--max must be nonnegative")
+        if args.max > MAX_CATALAN_ORDER:
+            raise BoundExceededError(f"Catalan sequence bound is --max <= {MAX_CATALAN_ORDER}")
         orders = list(range(0, args.max + 1))
-        values = [math.comb(2 * n, n) // (n + 1) for n in orders]
+        values = [1]
+        for n in orders[:-1]:  # C_{n+1} = C_n * 2(2n + 1) / (n + 2)
+            values.append(values[-1] * 2 * (2 * n + 1) // (n + 2))
+    values = list(map(_exact, values))  # each converted once, in full
     if args.format == "pretty":  # the bare sequence on one line
-        result = ",".join(str(v) for v in values)
+        result = ",".join(values)
     else:
-        result = {"orders": orders, "values": [str(v) for v in values]}
+        result = {"orders": orders, "values": values}
     _emit(args, result, list(zip(orders, values)), ("order", "value"))
     return EXIT_OK
 

@@ -54,13 +54,22 @@ class JacobiParams:
         return len(self.beta)
 
 
+# The floating-point routes slow down as c grows.  At c = 1000 the slowest
+# point met on |Re z| <= 8, 0.2 <= Im z <= 3 took 4.8 s (riccati at --dps
+# 30), below the 5.4 s of phi at c = 2, and the 400-point binary64 and
+# 25-point --dps 30 grids that set the grid bounds took at most 7.8 s (2-core
+# machine).  At c = 1e4 every binary64 op but cf ends in a PrecisionError.
+MAX_FLOAT_C = 1000
+
+
 def mu_c_parameter(c, binary64: bool = False) -> Fraction:
     """The parameter c of mu_c as a Fraction; c may be a number or a string
     such as "9/10".
 
     Raises InputError unless c is a rational c >= -1 (beta_1 = c + 1 must
     not be negative), and with binary64=True, as the floating-point routes
-    need, also unless c has a binary64 value.
+    need, also unless c has a binary64 value, and BoundExceededError unless
+    c <= MAX_FLOAT_C there.
     """
     try:
         c = Fraction(c)
@@ -73,6 +82,8 @@ def mu_c_parameter(c, binary64: bool = False) -> Fraction:
             float(c)
         except OverflowError:
             raise InputError("parameter c is beyond the binary64 range") from None
+        if c > MAX_FLOAT_C:
+            raise BoundExceededError(f"floating-point routes bound is c <= {MAX_FLOAT_C}")
     return c
 
 

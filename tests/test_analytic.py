@@ -372,3 +372,18 @@ def test_transforms_all_is_the_union_of_its_modules():
     star: dict = {}
     exec("from freeprob.transforms import *", star)
     assert set(star) - {"__builtins__"} == set(names)
+
+
+def test_floating_routes_bound_c():
+    from freeprob.errors import BoundExceededError, InputError
+    from freeprob.transforms import mu_c_parameter
+    from freeprob.transforms.jacobi import MAX_FLOAT_C
+
+    assert mu_c_parameter(MAX_FLOAT_C, binary64=True) == MAX_FLOAT_C
+    assert mu_c_parameter(10**6) == 10**6  # the exact routes have their own budget
+    with pytest.raises(InputError, match="binary64"):
+        mu_c_parameter("1e400", binary64=True)
+    for evaluate in (G_eval, F_eval):
+        with pytest.raises(BoundExceededError, match=f"c <= {MAX_FLOAT_C}"):
+            evaluate(F(MAX_FLOAT_C * 10 + 1, 10), 1j)
+    assert G_eval(MAX_FLOAT_C, 1j).imag < 0

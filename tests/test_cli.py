@@ -1,5 +1,7 @@
 import argparse
+import decimal
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +10,19 @@ import pytest
 
 import freeprob
 from freeprob import cli
-from freeprob.cli import MAX_DPS, MAX_GRID_POINTS, MAX_GRID_POINTS_DPS, build_parser, main
-from freeprob.cumulants import MAX_FREE_SERIES_ORDER, MAX_SERIES_BITS, MAX_SERIES_ORDER
+from freeprob.cli import (
+    MAX_DPS,
+    MAX_GRID_POINTS,
+    MAX_GRID_POINTS_DPS,
+    build_parser,
+    main,
+)
+from freeprob.cumulants import (
+    MAX_FREE_SERIES_ORDER,
+    MAX_SERIES_BITS,
+    MAX_SERIES_ORDER,
+    moments_from_classical,
+)
 from freeprob.hopf import MAX_ANTIPODE_SIZE
 
 
@@ -266,6 +279,37 @@ def test_exact_conversion_beyond_binary64_prints_null_decimals(capsys):
     rows = out.splitlines()[2:]
     assert rows[102] == f"102,{1000**102},{float(1000**102)}"
     assert rows[103] == f"103,{1000**103},"
+
+
+def _digits_match(text: str, value: int) -> bool:
+    # the digit count and the last 30 digits, with no int-to-str conversion
+    return len(text) == len(str(decimal.Decimal(value))) and int(text[-30:]) == value % 10**30
+
+
+def test_exact_values_print_past_the_int_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    catalan = math.comb(2 * 7200, 7200) // 7201
+    code, doc, _ = run_json(capsys, "sequence", "catalan", "--max", "7200")
+    assert code == 0
+    assert _digits_match(doc["result"]["values"][-1], catalan)
+    assert len(doc["result"]["values"][-1]) > limit
+
+    seq = [0] + [2**31 - 1] * 500
+    argv = ["cumulants", "--kind", "classical", "--direction", "to-moments"]
+    code, doc, _ = run_json(capsys, *argv, "--seq", ",".join(map(str, seq)))
+    assert code == 0
+    last = moments_from_classical(seq)[-1]
+    assert last.denominator == 1 and len(doc["result"]["values"][-1]) > limit
+    assert _digits_match(doc["result"]["values"][-1], last.numerator)
+    assert doc["result"]["decimal"][-1] is None
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_catalan_recurrence_matches_binomials(capsys):
+    for top in (0, 1, 40):
+        code, out, _ = run(capsys, "sequence", "catalan", "--max", str(top), "--format", "pretty")
+        expected = [math.comb(2 * n, n) // (n + 1) for n in range(top + 1)]
+        assert (code, out.splitlines()[-1]) == (0, ",".join(map(str, expected)))
 
 
 def test_finite_float_options_echo_unchanged(capsys):

@@ -15,7 +15,9 @@ import pytest
 
 import freeprob
 from freeprob import cli
+from freeprob.cli import MAX_CATALAN_ORDER
 from freeprob.errors import FreeprobError
+from freeprob.transforms.jacobi import MAX_FLOAT_C
 from freeprob.trees import MAX_DYCK_LENGTH
 
 STDLIB_BASES = {"ValueError", "ArithmeticError"}
@@ -123,6 +125,16 @@ HOSTILE = {
     "density-nan-range": ["density", "--c", "0", "--range=nan:1:0.5"],
     "hopf-laws-negative": ["hopf", "laws", "--max-size", "-1"],
     "hopf-hilbert-negative": ["hopf", "hilbert", "--max", "-1"],
+    "riccati-nan-far-out": [
+        "transform", "--op", "riccati", "--grid=1e300:1e300:1,1e300:1e300:1", "--c", "0"
+    ],
+    "riccati-inf-at-the-pole": [
+        "transform", "--c=-1", "--op", "riccati", "--grid=0:0:1,1e-300:1e-300:1", "--format", "csv"
+    ],
+    "transform-c-past-bound": ["transform", "--c", "1e300", "--op", "riccati", "--dps", "20"],
+    "density-c-past-bound": ["density", "--c", str(MAX_FLOAT_C + 1)],
+    "catalan-negative": ["sequence", "catalan", "--max", "-1"],
+    "catalan-over-bound": ["sequence", "catalan", "--max", str(MAX_CATALAN_ORDER + 1)],
 }
 
 
@@ -135,6 +147,17 @@ def test_hostile_input_is_a_structured_refusal(capsys, argv):
     assert error["type"] in _subclass_names(FreeprobError)
     assert not hasattr(builtins, error["type"])
     assert error["message"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_non_finite_value_names_its_field_and_point(capsys, fmt):
+    argv = HOSTILE["riccati-nan-far-out"] + ["--format", fmt]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "PrecisionError"
+    assert error["message"].startswith("result[0].f_residual is nan at re_z=1e+300, im_z=1e+300")
 
 
 def test_main_lets_a_bug_propagate(monkeypatch):

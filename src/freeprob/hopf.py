@@ -441,10 +441,9 @@ def _bf_cop_labeled(t: Tree) -> Counter:
         return Counter({(None, None): 1})
     if t.left is None:
         w = t.right
-        root = None if w is None else w.label
         out: Counter = Counter({(t, None): 1})
         for (x, y), c in _bf_cop_labeled(w).items():
-            if (None if y is None else y.label) == root:
+            if w is None or (y is not None and y.label == w.label):
                 out[(x, LabeledTree(t.label, None, y))] += c
         return out
     a_terms = _bf_cop_labeled(t.left)

@@ -165,8 +165,7 @@ def _refuse_non_finite(value, path: str = "result", point: str = "") -> None:
 
 
 def _emit(args, result, rows=None, header=None) -> None:
-    """Print `result` in args.format; csv prints `rows`, built from the
-    values of `result`, under `header`.
+    """Print `result` in args.format; csv prints `rows` under `header`.
 
     Fractions print as "p/q" strings, and they and ints print in full at any
     length (JSON numbers are small ints only); a result holding a non-finite

@@ -97,9 +97,18 @@ def test_every_expected_file_has_a_command():
 
 if __name__ == "__main__":
     EXPECTED.mkdir(parents=True, exist_ok=True)
+    old = {}
     for stale in EXPECTED.glob("*.txt"):
+        old[stale.stem] = stale.read_text()
         stale.unlink()
-    for name, argv in CORPUS.items():
-        (EXPECTED / f"{name}.txt").write_text(run_in_process(argv))
+    new = {name: run_in_process(argv) for name, argv in CORPUS.items()}
+    for name, text in new.items():
+        (EXPECTED / f"{name}.txt").write_text(text)
     CAPTURED_ON.write_text(machine())
     print(f"wrote {len(CORPUS)} expected files under {EXPECTED}")
+    for label, names in (
+        ("added", [n for n in new if n not in old]),
+        ("changed", [n for n in new if n in old and old[n] != new[n]]),
+        ("removed", sorted(n for n in old if n not in new)),
+    ):
+        print(f"{label}: {len(names)}", *names, sep="\n  " if names else "")

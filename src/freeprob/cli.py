@@ -43,6 +43,7 @@ from .transforms import (
     riccati_residual,
     voiculescu_phi,
 )
+from .transforms.analytic import CF_MIN_IM, MAX_CF_SAMPLES, MAX_SAMPLES
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -102,7 +103,7 @@ def _parse_grid(spec: str, max_points: int) -> list[complex]:
     return [complex(x, y) for y in ys for x in xs]
 
 
-def _parse_range(spec: str) -> list[float]:
+def _parse_range(spec: str, limit: int) -> list[float]:
     try:
         lo, hi, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
@@ -111,7 +112,7 @@ def _parse_range(spec: str) -> list[float]:
         raise InputError(f"range spec {spec!r} has a value that is not a finite number")
     if step <= 0:
         raise InputError("range step must be positive")
-    check_steps(lo, hi, step)
+    check_steps(lo, hi, step, limit)
     out = []
     value = lo
     while value <= hi + 1e-12:
@@ -414,10 +415,11 @@ def _cmd_trajectory(args) -> int:
 
 def _cmd_density(args) -> int:
     c = mu_c_parameter(args.c, binary64=True)
-    rows = [
-        (u, density_eval(c, u, eps=args.eps, richardson=args.richardson))
-        for u in _parse_range(args.range)
-    ]
+    # from Im z = CF_MIN_IM up a point may run the continued fraction, which
+    # costs far more than the series; the walk is bounded before it starts
+    limit = MAX_CF_SAMPLES if args.eps >= CF_MIN_IM else MAX_SAMPLES
+    us = _parse_range(args.range, limit)
+    rows = [(u, density_eval(c, u, eps=args.eps, richardson=args.richardson)) for u in us]
     _emit(args, [{"u": u, "density": d} for u, d in rows], rows, ("u", "density"))
     return EXIT_OK
 

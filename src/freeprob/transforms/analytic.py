@@ -182,6 +182,28 @@ def cf_eval(c, z, tol: float = 1e-13, depth: Optional[int] = None, *,
 # ------------------------------------------------------------ entire series
 
 SERIES_MAX_TERMS = 200_000
+SERIES_BLOCK = 64  # divides SERIES_MAX_TERMS
+
+
+# a block holds 14 KB in binary64 and 37 KB at dps 30; one pass of the
+# tree_transform benchmark fills 15 blocks
+@functools.lru_cache(maxsize=64)
+def _series_block(c, prec: Optional[int], start: int) -> tuple:
+    """Coefficients of terms start+1 .. start+SERIES_BLOCK of _phi_pair at
+    binary precision prec (None for binary64), one tuple per term k:
+    (even ratio, odd ratio, 2k, 2k + 1, k).  The ratios are the recursion's
+    own expressions, so a cached term multiplies exactly as a fresh one."""
+    cval = _real(c, _mp(prec))
+    return tuple(
+        (
+            -(cval + 2 * k) / ((2 * k + 1) * (2 * k + 2)),
+            -(cval + 2 * k + 1) / ((2 * k + 2) * (2 * k + 3)),
+            2 * k + 2,
+            2 * k + 3,
+            k + 1,
+        )
+        for k in range(start, start + SERIES_BLOCK)
+    )
 
 
 def _phi_pair(c, z, dps: Optional[int] = None):
@@ -196,7 +218,8 @@ def _phi_pair(c, z, dps: Optional[int] = None):
     one = 1 + 0 * w
     if abs(w) == 0:
         return one, 0 * w, 0 * w, one, 1.0
-    cval = _real(c, mp_mod)
+    # blocks are keyed on the precision they are computed at, not on dps
+    prec = None if mp_mod is None else mp_mod.mp.prec
     eps = 10.0 ** (-(_digits(dps) + 3))
     w2 = w * w
     even_term = one  # e_k z^{2k}
@@ -206,26 +229,33 @@ def _phi_pair(c, z, dps: Optional[int] = None):
     scale = max(abs(pe), abs(po))
     hump = float(abs(w2)) / 2
     quiet = 0
-    k = 0
-    while k < SERIES_MAX_TERMS:
-        even_term = even_term * w2 * (-(cval + 2 * k) / ((2 * k + 1) * (2 * k + 2)))
-        odd_term = odd_term * w2 * (-(cval + 2 * k + 1) / ((2 * k + 2) * (2 * k + 3)))
-        k += 1
-        pe += even_term
-        po += odd_term
-        dpe += (2 * k) * even_term / w
-        dpo += (2 * k + 1) * odd_term / w
-        even_abs, odd_abs = abs(even_term), abs(odd_term)
-        scale = max(scale, abs(pe), abs(po), even_abs, odd_abs)
-        if even_abs + odd_abs < eps * scale and k > hump:
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-    else:
-        raise PrecisionError(f"series for phi did not settle in {SERIES_MAX_TERMS} terms at z={z}")
-    return pe, dpe, po, dpo, float(scale)
+    for start in range(0, SERIES_MAX_TERMS, SERIES_BLOCK):
+        for even_ratio, odd_ratio, even_power, odd_power, k in _series_block(c, prec, start):
+            even_term = even_term * w2 * even_ratio
+            odd_term = odd_term * w2 * odd_ratio
+            pe += even_term
+            po += odd_term
+            dpe += even_power * even_term / w
+            dpo += odd_power * odd_term / w
+            even_abs, odd_abs = abs(even_term), abs(odd_term)
+            # max(scale, |pe|, |po|, even_abs, odd_abs), compared in max's order
+            size = abs(pe)
+            if size > scale:
+                scale = size
+            size = abs(po)
+            if size > scale:
+                scale = size
+            if even_abs > scale:
+                scale = even_abs
+            if odd_abs > scale:
+                scale = odd_abs
+            if even_abs + odd_abs < eps * scale and k > hump:
+                quiet += 1
+                if quiet >= 3:
+                    return pe, dpe, po, dpo, float(scale)
+            else:
+                quiet = 0
+    raise PrecisionError(f"series for phi did not settle in {SERIES_MAX_TERMS} terms at z={z}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -568,15 +598,21 @@ TRAJECTORY_STEP = 0.005
 # take 13 s near u = 30 (c = 0, the slowest found); a trajectory step is
 # far cheaper
 MAX_SAMPLES = 10_000
+# density points that may run the continued fraction (eps >= CF_MIN_IM):
+# over |u| <= 30 and c in {-1/2, 3, 100, 1000} the slowest point that
+# returned took 0.11 s (Richardson at eps = 2 CF_MIN_IM) and the slowest
+# that raised, which ends the walk, 0.67 s, so 250 points take under 30 s
+# (2-core machine)
+MAX_CF_SAMPLES = 250
 
 
-def check_steps(lo: float, hi: float, step: float) -> None:
+def check_steps(lo: float, hi: float, step: float, limit: int = MAX_SAMPLES) -> None:
     """Reject a walk between lo and hi in steps of size step that would never
-    end (step below the float spacing there) or take over MAX_SAMPLES samples."""
+    end (step below the float spacing there) or take over limit samples."""
     if lo + step == lo or hi + step == hi:
         raise InputError(f"step {step} does not change the values between {lo} and {hi}")
-    if (hi - lo) / step >= MAX_SAMPLES:
-        raise BoundExceededError(f"sample bound is {MAX_SAMPLES} points per walk")
+    if (hi - lo) / step >= limit:
+        raise BoundExceededError(f"sample bound is {limit} points per walk")
 
 
 def f_trajectory(c, r_lo: float = -16.0, r_hi: float = 12.0) -> FTrajectoryReport:

@@ -5,8 +5,9 @@ matrix) checks the pivot scan of `jacobi_from_moments`, `block_index`
 serves the partition oracles, `partitions_by_rgs` checks the level-by-level
 generation of `enumerate_partitions`, and `series_in_fractions` checks the
 integer triangular solve behind the six series conversions of
-`freeprob.cumulants`, and `bf_coproduct_by_subtraction` checks the one-rule
-charge coproduct of `freeprob.hopf`.
+`freeprob.cumulants`, `bf_coproduct_by_subtraction` checks the one-rule
+charge coproduct of `freeprob.hopf`, and `phi_pair_by_terms` checks the
+block-cached series kernel `_phi_pair` of `freeprob.transforms.analytic`.
 """
 
 import math
@@ -19,6 +20,7 @@ from freeprob.errors import BoundExceededError
 from freeprob.hopf import LabeledTree, bf_over_labeled
 from freeprob.partitions import LatticeKind, Partition
 from freeprob.transforms import JacobiFit
+from freeprob.transforms.analytic import SERIES_MAX_TERMS, PrecisionError, _digits, _lift, _mp, _real
 
 MAX_HANKEL_DIRECT = 24
 
@@ -162,3 +164,46 @@ def bf_coproduct_by_subtraction(t) -> Counter:
         for (b1, b2), cb in b_terms.items():
             out[(bf_over_labeled(a1, b1), bf_over_labeled(a2, b2))] += ca * cb
     return out
+
+
+def phi_pair_by_terms(c, z, dps=None):
+    """(phi_e, phi_e', phi_o, phi_o', scale) of phi'' + z phi' + c phi = 0,
+    each term's ratios and powers computed afresh as the term is summed.
+
+    With dps set, call it inside mpmath.workdps(dps), as `_phi_pair` is.
+    """
+    mp_mod = _mp(dps)
+    w = _lift(z, mp_mod)
+    one = 1 + 0 * w
+    if abs(w) == 0:
+        return one, 0 * w, 0 * w, one, 1.0
+    cval = _real(c, mp_mod)
+    eps = 10.0 ** (-(_digits(dps) + 3))
+    w2 = w * w
+    even_term = one  # e_k z^{2k}
+    odd_term = w  # o_k z^{2k+1}
+    pe, po = even_term, odd_term
+    dpe, dpo = 0 * w, one
+    scale = max(abs(pe), abs(po))
+    hump = float(abs(w2)) / 2
+    quiet = 0
+    k = 0
+    while k < SERIES_MAX_TERMS:
+        even_term = even_term * w2 * (-(cval + 2 * k) / ((2 * k + 1) * (2 * k + 2)))
+        odd_term = odd_term * w2 * (-(cval + 2 * k + 1) / ((2 * k + 2) * (2 * k + 3)))
+        k += 1
+        pe += even_term
+        po += odd_term
+        dpe += (2 * k) * even_term / w
+        dpo += (2 * k + 1) * odd_term / w
+        even_abs, odd_abs = abs(even_term), abs(odd_term)
+        scale = max(scale, abs(pe), abs(po), even_abs, odd_abs)
+        if even_abs + odd_abs < eps * scale and k > hump:
+            quiet += 1
+            if quiet >= 3:
+                break
+        else:
+            quiet = 0
+    else:
+        raise PrecisionError(f"series for phi did not settle in {SERIES_MAX_TERMS} terms at z={z}")
+    return pe, dpe, po, dpo, float(scale)

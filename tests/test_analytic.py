@@ -13,9 +13,11 @@ from freeprob.transforms import (
     density_eval,
     dilation_residual,
     f_trajectory,
+    jacobi_from_moments,
     moments_from_jacobi,
     mu_c_jacobi,
     riccati_residual,
+    shifted_sequence_of_mu_c,
     voiculescu_phi,
 )
 from freeprob.transforms import analytic
@@ -198,6 +200,23 @@ def test_voiculescu_defines_inverse():
         for z in (1 + 1j, 2j):
             w = z + voiculescu_phi(c, z)
             assert abs(F_eval(c, w) - z) < 1e-9
+
+
+@pytest.mark.parametrize("c", [F(-3, 4), F(-1, 2), F(-1, 10), F(0)], ids=str)
+def test_voiculescu_is_the_cauchy_transform_of_the_fid_sequence(c):
+    # phi_c(z) = sum_n s_n z^{-(n+1)}: the shifted sequence that `fid` scans
+    # is the moment sequence of the free Levy measure, and phi_c its Cauchy
+    # transform s_0 / (z - a_0 - b_1 / (z - a_1 - ...)); the depth-80 fraction
+    # limits the agreement (near 1e-7 at z = 1 + i, 1e-11 higher up)
+    s = shifted_sequence_of_mu_c(c, 162)
+    fit = jacobi_from_moments(s, 80)
+    alpha, beta = [float(a) for a in fit.alpha], [float(b) for b in fit.beta]
+    for z, tol in ((1 + 1j, 1e-6), (2j, 1e-9), (-0.5 + 1.5j, 1e-9)):
+        tail = 0j
+        for k in range(len(alpha) - 1, 0, -1):
+            tail = beta[k - 1] / (z - alpha[k] - tail)  # beta[k - 1] = b_k
+        levy = float(s[0]) / (z - alpha[0] - tail)
+        assert abs(levy - voiculescu_phi(c, z)) < tol, z
 
 
 def test_voiculescu_low_altitude_negative_c():

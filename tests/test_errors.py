@@ -123,6 +123,10 @@ HOSTILE = {
     "phi-negative-tol": ["transform", "--c", "0", "--op", "phi", "--tol=-1", "--grid=0:0:1,1:1:1"],
     "density-nan-eps": ["density", "--c", "0", "--eps", "nan"],
     "density-nan-range": ["density", "--c", "0", "--range=nan:1:0.5"],
+    # 601 points that may each run the continued fraction
+    "density-cf-route-past-bound": [
+        "density", "--c", "3", "--eps", "0.04", "--richardson", "--range=-30:30:0.1"
+    ],
     "hopf-laws-negative": ["hopf", "laws", "--max-size", "-1"],
     "hopf-hilbert-negative": ["hopf", "hilbert", "--max", "-1"],
     "riccati-nan-far-out": [

@@ -416,10 +416,12 @@ def _cmd_trajectory(args) -> int:
 def _cmd_density(args) -> int:
     c = mu_c_parameter(args.c, binary64=True)
     # from Im z = CF_MIN_IM up a point may run the continued fraction, which
-    # costs far more than the series; the walk is bounded before it starts
+    # costs far more than the series; the range is bounded before any point
     limit = MAX_CF_SAMPLES if args.eps >= CF_MIN_IM else MAX_SAMPLES
-    us = _parse_range(args.range, limit)
-    rows = [(u, density_eval(c, u, eps=args.eps, richardson=args.richardson)) for u in us]
+    rows = [
+        (u, density_eval(c, u, eps=args.eps, richardson=args.richardson))
+        for u in _parse_range(args.range, limit)
+    ]
     _emit(args, [{"u": u, "density": d} for u, d in rows], rows, ("u", "density"))
     return EXIT_OK
 

@@ -218,7 +218,8 @@ def _phi_pair(c, z, dps: Optional[int] = None):
     one = 1 + 0 * w
     if abs(w) == 0:
         return one, 0 * w, 0 * w, one, 1.0
-    # blocks are keyed on the precision they are computed at, not on dps
+    # key the blocks on the binary precision their arithmetic runs at, which
+    # dps alone does not fix (a caller may be outside mpmath.workdps(dps))
     prec = None if mp_mod is None else mp_mod.mp.prec
     eps = 10.0 ** (-(_digits(dps) + 3))
     w2 = w * w

@@ -111,4 +111,6 @@ if __name__ == "__main__":
         ("changed", [n for n in new if n in old and old[n] != new[n]]),
         ("removed", sorted(n for n in old if n not in new)),
     ):
-        print(f"{label}: {len(names)}", *names, sep="\n  " if names else "")
+        print(f"{label}: {len(names)}")
+        for name in names:
+            print(f"  {name}")

@@ -34,7 +34,7 @@ from .partitions import (
     classify,
     enumerate_pairings,
     enumerate_partitions,
-    _moebius_column,
+    _moebius_value,
     statistics,
     top_partition,
 )
@@ -63,7 +63,6 @@ __all__ = [
 ]
 
 MAX_LATTICE_ORDER = 11
-MAX_MOEBIUS_WEIGHTS_ORDER = 7
 # The series conversions run on the integers D^j x_j, D a common scale that
 # divides the lcm of the given denominators (see _triangular_solve).
 # MAX_SERIES_BITS bounds D by 32 bits and each D^j x_j by 32*j bits, so every
@@ -252,17 +251,18 @@ def cumulant_via_moebius_weights(moments: Sequence, flavour: str, order: int) ->
     """Literal Moebius-weighted inversion k_n = sum_sigma m_sigma mu(sigma, 1-hat).
 
     Slower than cumulants_via_lattice (it weights every lattice partition by
-    its Moebius value, read off the column mu(., 1-hat)); intended as an
-    extra cross-check at order <= 7, within every Moebius bound.
+    its Moebius value, from the product formula); a cross-check.  Bound:
+    order <= 11.
     """
     m = _fracs(moments)
     _require_moments(m)
     kind = _KIND_FOR_CUMULANT[flavour]
-    if order > MAX_MOEBIUS_WEIGHTS_ORDER:
-        raise BoundExceededError(f"Moebius-weighted oracle bound is order <= {MAX_MOEBIUS_WEIGHTS_ORDER}")
+    if order > MAX_LATTICE_ORDER:
+        raise BoundExceededError(f"Moebius-weighted oracle bound is order <= {MAX_LATTICE_ORDER}")
     _require_order(m, order)
-    column = _moebius_column(kind, top_partition(order))
-    return sum((_partition_weight(m, sigma) * mu for sigma, mu in column.items()), Fraction(0))
+    top = top_partition(order)
+    weights = (_partition_weight(m, s) * _moebius_value(kind, s, top) for s in enumerate_partitions(order, kind))
+    return sum(weights, Fraction(0))
 
 
 def _flagged_sum(seq: Sequence, order: int, kind: LatticeKind, flag: str, what: str) -> Fraction:

@@ -77,6 +77,19 @@ class LabeledTree:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other) -> bool:
+        # a stack, not recursion: a recursive walk runs out of frames on deep trees
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b:
+                if a is None or b is None or a._hash != b._hash or a.label != b.label:
+                    return False
+                stack += ((a.left, b.left), (a.right, b.right))
+        return True
+
 
 Tree = Optional[LabeledTree]
 

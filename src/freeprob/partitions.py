@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from math import comb, factorial
 from typing import Iterable, NamedTuple
 
 from .errors import BoundExceededError, InputError
@@ -45,13 +45,6 @@ MAX_ENUM_ALL = 11
 MAX_ENUM_NONCROSSING = 13
 MAX_ENUM_INTERVAL = 21
 MAX_ENUM_PAIRING = 14
-
-# Moebius cutoffs: one column mu(., top) costs time quadratic in the lattice
-# size; each is the largest n whose top column fits in about 30 s and 1.5 GB
-# (10 s / 14 s / 12 s and under 25 MB at the bound on a 2-core machine).
-MAX_MOEBIUS_ALL = 8
-MAX_MOEBIUS_NONCROSSING = 9
-MAX_MOEBIUS_INTERVAL = 13
 
 
 class LatticeOrderError(InputError):
@@ -333,7 +326,8 @@ def count_connected_pairings(two_n: int) -> int:
 
 def refines(sigma: Partition, pi: Partition) -> bool:
     """True iff every block of sigma is contained in a block of pi."""
-    return sigma.n == pi.n and _below(_masks(sigma)[0], _masks(pi)[1])
+    owner = {x: i for i, b in enumerate(pi.blocks) for x in b}
+    return sigma.n == pi.n and all(owner[x] == owner[b[0]] for b in sigma.blocks for x in b)
 
 
 def _member(kind: LatticeKind, p: Partition) -> bool:
@@ -344,70 +338,60 @@ def _member(kind: LatticeKind, p: Partition) -> bool:
     return _is_interval(p)
 
 
-def _masks(p: Partition) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """(lowest element, bitmask) of each block of p, and the block mask of every element."""
-    blocks = tuple((b[0] - 1, sum(1 << (x - 1) for x in b)) for b in p.blocks)
-    cover = [0] * p.n
-    for block, (_, mask) in zip(p.blocks, blocks):
-        for x in block:
-            cover[x - 1] = mask
-    return blocks, tuple(cover)
+def _kreweras_sizes(block: tuple[int, ...], parts: list[tuple[int, ...]]) -> list[int]:
+    """Block sizes of the Kreweras complement of the noncrossing partition
+    `parts` of `block`: the cycle lengths of sigma^-1 gamma, where sigma
+    cycles each part upwards and gamma cycles the whole block upwards."""
+    gamma = dict(zip(block, block[1:] + block[:1]))
+    sigma_inv = {x: prev for part in parts for prev, x in zip(part[-1:] + part[:-1], part)}
+    sizes = []
+    while gamma:  # each pass walks one cycle, popping gamma as it goes
+        x, size = next(iter(gamma)), 0
+        while x in gamma:
+            x = sigma_inv[gamma.pop(x)]
+            size += 1
+        sizes.append(size)
+    return sizes
 
 
-def _below(blocks: tuple[tuple[int, int], ...], cover: tuple[int, ...]) -> bool:
-    """Bitmask refinement test: each block lies in the block holding its lowest element."""
-    return all(cover[low] & mask == mask for low, mask in blocks)
+def _moebius_value(kind: LatticeKind, sigma: Partition, pi: Partition) -> int:
+    """mu(sigma, pi) for lattice members sigma <= pi, unchecked.
 
-
-@lru_cache(maxsize=32)
-def _lattice(kind: LatticeKind, n: int) -> tuple:
-    """The lattice elements with their block masks, sorted by block count."""
-    return tuple(sorted(((p, *_masks(p)) for p in enumerate_partitions(n, kind)), key=lambda e: len(e[1])))
-
-
-@lru_cache(maxsize=128)
-def _moebius_column(kind: LatticeKind, pi: Partition) -> dict[Partition, int]:
-    """mu(tau, pi) for every lattice element tau <= pi, by one top-down zeta sweep.
-
-    Elements come fewest blocks first, so pi leads and every rho with
-    tau < rho <= pi precedes tau; then mu(tau, pi) is minus the sum of
-    mu(rho, pi) over those rho.  (Equal block counts are comparable only
-    when equal, so no rank test is needed.)
+    [sigma, pi] is the product over the blocks B of pi of the intervals from
+    sigma restricted to B up to B itself (Nica and Speicher, Lectures 9-10),
+    so mu multiplies bottom-to-top values: (-1)^(k-1) (k-1)! in the full
+    lattice, k the number of sigma-blocks in B, and (-1)^(s-1) Cat(s-1) over
+    the block sizes s of the Kreweras complement of sigma restricted to B in
+    the noncrossing one.  The interval lattice is Boolean.
     """
-    pi_cover = _masks(pi)[1]
-    column: dict[Partition, int] = {}
-    above: list[tuple[tuple[int, ...], int]] = []
-    for tau, blocks, cover in _lattice(kind, pi.n):
-        if not _below(blocks, pi_cover):
-            continue
-        mu = 1 if tau == pi else -sum(m for rho_cover, m in above if _below(blocks, rho_cover))
-        column[tau] = mu
-        above.append((cover, mu))
-    return column
+    if kind is LatticeKind.INTERVAL:
+        return (-1) ** (len(sigma.blocks) - len(pi.blocks))
+    owner = {x: i for i, b in enumerate(pi.blocks) for x in b}
+    inside = [[] for _ in pi.blocks]
+    for b in sigma.blocks:
+        inside[owner[b[0]]].append(b)
+    mu = 1
+    for block, parts in zip(pi.blocks, inside):
+        if kind is LatticeKind.ALL:
+            mu *= (-1) ** (len(parts) - 1) * factorial(len(parts) - 1)
+        else:
+            for s in _kreweras_sizes(block, parts):
+                mu *= (-1) ** (s - 1) * (comb(2 * s - 2, s - 1) // s)
+    return mu
 
 
 def moebius(kind: LatticeKind, sigma: Partition, pi: Partition) -> int:
-    """Moebius function mu(sigma, pi) of the chosen lattice, by zeta inversion.
+    """Moebius function mu(sigma, pi) of the chosen lattice, from the product
+    formula of the interval (see _moebius_value); no lattice is enumerated.
 
-    Read off the column mu(., pi), swept top-down from mu(pi, pi) = 1 and
-    sum over tau <= rho <= pi of mu(rho, pi) = 0 for tau < pi; the last
-    128 columns are kept.  Bounds: n <= 8 (ALL), n <= 9 (NONCROSSING),
-    n <= 13 (INTERVAL); larger n raises BoundExceededError.
     Raises LatticeMembershipError if either argument is not in the lattice
     and LatticeOrderError if sigma does not refine pi.
     """
     if sigma.n != pi.n:
         raise LatticeOrderError("partitions live on different ground sets")
-    bound = {
-        LatticeKind.ALL: MAX_MOEBIUS_ALL,
-        LatticeKind.NONCROSSING: MAX_MOEBIUS_NONCROSSING,
-        LatticeKind.INTERVAL: MAX_MOEBIUS_INTERVAL,
-    }[kind]
-    if pi.n > bound:
-        raise BoundExceededError(f"Moebius bound for the {kind.value} lattice is n <= {bound}")
     for q in (sigma, pi):
         if not _member(kind, q):
             raise LatticeMembershipError(f"{q} is not in the {kind.value} lattice")
     if not refines(sigma, pi):
         raise LatticeOrderError(f"{sigma} does not refine {pi}")
-    return _moebius_column(kind, pi)[sigma]
+    return _moebius_value(kind, sigma, pi)

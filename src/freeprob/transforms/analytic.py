@@ -211,7 +211,9 @@ def _phi_pair(c, z, dps: Optional[int] = None):
     phi'' + z phi' + c phi = 0 with phi_e(0) = 1, phi_o'(0) = 1.
 
     `scale` is the largest accumulator/term magnitude met while summing; the
-    achieved accuracy is roughly eps * scale in absolute terms.
+    achieved accuracy is roughly eps * scale in absolute terms.  A sum that
+    stops being finite never settles and can never be trusted: it is returned
+    at the end of its block with scale inf, which every caller refuses.
     """
     mp_mod = _mp(dps)
     w = _lift(z, mp_mod)
@@ -256,6 +258,8 @@ def _phi_pair(c, z, dps: Optional[int] = None):
                     return pe, dpe, po, dpo, float(scale)
             else:
                 quiet = 0
+        if not all(x < math.inf for x in (scale, abs(pe), abs(po), abs(dpe), abs(dpo))):
+            return pe, dpe, po, dpo, math.inf
     raise PrecisionError(f"series for phi did not settle in {SERIES_MAX_TERMS} terms at z={z}")
 
 

@@ -3,7 +3,8 @@
 The direct Hankel determinant (Bareiss elimination over the integer-scaled
 matrix) checks the pivot scan of `jacobi_from_moments`, `block_index`
 serves the partition oracles, `partitions_by_rgs` checks the level-by-level
-generation of `enumerate_partitions`, and `series_in_fractions` checks the
+generation of `enumerate_partitions`, `moebius_by_zeta_sweep` checks the
+product formula behind `partitions.moebius`, `series_in_fractions` checks the
 integer triangular solve behind the six series conversions of
 `freeprob.cumulants`, `bf_coproduct_by_subtraction` checks the one-rule
 charge coproduct of `freeprob.hopf`, and `phi_pair_by_terms` checks the
@@ -13,6 +14,7 @@ block-cached series kernel `_phi_pair` of `freeprob.transforms.analytic`.
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from freeprob._linalg import _forward_eliminate, clear_denominators
@@ -95,6 +97,49 @@ def partitions_by_rgs(n: int, kind: LatticeKind) -> list[Partition]:
 
     rec(1, 1, (0,))
     return out
+
+
+def _bitmasks(p: Partition) -> tuple[list[tuple[int, int]], list[int]]:
+    """(least element - 1, bitmask) of each block of p, and the block mask of each element."""
+    blocks = [(b[0] - 1, sum(1 << (x - 1) for x in b)) for b in p.blocks]
+    cover = [0] * p.n
+    for b, (_, mask) in zip(p.blocks, blocks):
+        for x in b:
+            cover[x - 1] = mask
+    return blocks, cover
+
+
+def _below(blocks: list[tuple[int, int]], cover: list[int]) -> bool:
+    """Bitmask refinement test: each block lies in the block holding its least element."""
+    return all(cover[low] & mask == mask for low, mask in blocks)
+
+
+@lru_cache(maxsize=8)
+def _lattice_by_block_count(kind: LatticeKind, n: int) -> tuple:
+    """(tau, block masks, element masks) over the `kind` lattice, fewest blocks first."""
+    ordered = sorted(partitions_by_rgs(n, kind), key=lambda p: len(p.blocks))
+    return tuple((tau, *_bitmasks(tau)) for tau in ordered)
+
+
+def moebius_by_zeta_sweep(kind: LatticeKind, pi: Partition) -> dict[Partition, int]:
+    """mu(tau, pi) for every tau <= pi in the `kind` lattice, by one top-down
+    zeta sweep over the lattice from `partitions_by_rgs`.
+
+    Elements come fewest blocks first, so pi leads and every rho with
+    tau < rho <= pi precedes tau; then mu(tau, pi) is minus the sum of
+    mu(rho, pi) over those rho.  (Equal block counts are comparable only
+    when equal, so no rank test is needed.)
+    """
+    pi_cover = _bitmasks(pi)[1]
+    column: dict[Partition, int] = {}
+    above: list[tuple[list[int], int]] = []
+    for tau, blocks, cover in _lattice_by_block_count(kind, pi.n):
+        if not _below(blocks, pi_cover):
+            continue
+        mu = 1 if tau == pi else -sum(m for rho_cover, m in above if _below(blocks, rho_cover))
+        column[tau] = mu
+        above.append((cover, mu))
+    return column
 
 
 def series_in_fractions(seq: Sequence, kind: str, to_moments: bool) -> list[Fraction]:

@@ -406,3 +406,31 @@ def test_floating_routes_bound_c():
         with pytest.raises(BoundExceededError, match=f"c <= {MAX_FLOAT_C}"):
             evaluate(F(MAX_FLOAT_C * 10 + 1, 10), 1j)
     assert G_eval(MAX_FLOAT_C, 1j).imag < 0
+
+
+OVERFLOW_POINTS = [20 + 0.5j, 25 + 1j, 29 + 3j]
+
+
+@pytest.mark.parametrize("z", OVERFLOW_POINTS + [20 + 1e-6j])
+def test_overflowed_series_stops_at_its_block(monkeypatch, z):
+    # at c = 1000 the sums overflow within 320 terms here; they are handed back
+    # untrusted at the end of that block instead of running to SERIES_MAX_TERMS
+    blocks = []
+    _counting(monkeypatch, "_series_block", blocks)
+    assert analytic._phi_pair(F(1000), z)[4] == math.inf
+    assert len(blocks) <= 8
+
+
+@pytest.mark.parametrize("z", OVERFLOW_POINTS)
+def test_overflowed_series_routes_to_the_continued_fraction(z):
+    g = cf_eval(1000, z)
+    assert G_eval(1000, z) == g
+    assert F_eval(1000, z) == 1 / g
+    if z == OVERFLOW_POINTS[0]:
+        assert g == 0.00991386813254158 - 0.02974291115285378j
+
+
+def test_overflowed_series_refuses_below_the_continued_fraction():
+    # Im z = 1e-6 is out of the continued fraction's reach: a fast refusal
+    with pytest.raises(analytic.PrecisionError, match="cancellation too severe"):
+        density_eval(1000, 20.0)

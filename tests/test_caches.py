@@ -1,12 +1,14 @@
-"""No module-level memo cache may grow without bound.
+"""No module-level memo cache may grow without bound, or go unlisted.
 
 `functools.cache` and `lru_cache(maxsize=None)` on a module-level function
 keep every argument and result for the life of the process.  A cache made
-inside a function body lives only for that call and is exempt.
+inside a function body lives only for that call and is exempt.  The README
+names every module-level cache, as `module._name`, with its bound.
 """
 
 import ast
 import pathlib
+import re
 
 import freeprob
 
@@ -90,3 +92,50 @@ def test_no_unbounded_module_caches_in_src():
         if (lines := unbounded_caches(path.read_text()))
     }
     assert found == {}
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def module_caches(source: str) -> list[str]:
+    """Names of the module-level functions that a cache decorates or wraps."""
+    names = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in stmt.decorator_list:
+                if _is_cache_ref(dec.func if isinstance(dec, ast.Call) else dec):
+                    names.append(stmt.name)
+        elif isinstance(stmt, ast.Assign) and any(_is_cache_ref(n) for n in ast.walk(stmt.value)):
+            names.extend(t.id for t in stmt.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_module_caches_finds_decorated_and_wrapped_functions():
+    source = """
+import functools
+from functools import lru_cache
+
+@lru_cache(maxsize=8)
+def a(n): ...
+
+@functools.lru_cache(maxsize=8)
+def b(n): ...
+
+d = functools.lru_cache(8)(len)
+
+def per_call(n):
+    @lru_cache(maxsize=8)
+    def rec(k): ...
+    return rec(n)
+"""
+    assert module_caches(source) == ["a", "b", "d"]
+
+
+def test_readme_lists_every_module_cache():
+    root = pathlib.Path(freeprob.__file__).parent
+    modules = {".".join(path.relative_to(root).with_suffix("").parts): path for path in root.rglob("*.py")}
+    in_src = {f"{module}.{name}" for module, path in modules.items() for name in module_caches(path.read_text())}
+    # the README paragraph that lists the caches, and the names it gives in backticks
+    paragraph = next(p for p in README.read_text().split("\n\n") if "each bounded:" in p)
+    named = {token for token in re.findall(r"`([\w.]+)`", paragraph) if token.rpartition(".")[0] in modules}
+    assert in_src == named

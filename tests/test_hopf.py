@@ -469,6 +469,22 @@ def test_labeled_tree_hash_equality_and_repr():
     assert hash(deep) == hash((2500, deep.left, None))
 
 
+def test_labeled_tree_equality_walks_deep_chains():
+    # chains built apart, far deeper than the recursion limit
+    def chain(labels):
+        t = None
+        for k in labels:
+            t = N(k, t, None)
+        return t
+
+    labels = list(range(2500, 0, -1))
+    a, b = chain(labels), chain(labels)
+    assert a is not b and a == b and not a != b
+    differ = chain([0] + labels[1:])  # only the deepest label differs
+    assert a != differ and not a == differ
+    assert a != N(1) and a.__eq__(None) is NotImplemented
+
+
 # ------------------------------------------------- Brouder-Frabetti
 
 

@@ -21,7 +21,7 @@ from freeprob.partitions import (
     top_partition,
     _is_interval,
 )
-from oracles import block_index, partitions_by_rgs
+from oracles import block_index, moebius_by_zeta_sweep, partitions_by_rgs
 
 ALL = LatticeKind.ALL
 NC = LatticeKind.NONCROSSING
@@ -73,16 +73,17 @@ def test_enumeration_bound_errors():
         count_connected_pairings(16)
 
 
-def test_moebius_bound_errors(monkeypatch):
-    # the bound is checked before any lattice is enumerated
-    def no_lattice(kind, n):
-        raise AssertionError("lattice enumerated past the Moebius bound")
+def test_moebius_enumerates_no_lattice_at_n_1000(monkeypatch):
+    # no size bound: the product formula reads the two partitions alone
+    def no_enumeration(n, kind=ALL):
+        raise AssertionError("moebius enumerated a lattice")
 
-    monkeypatch.setattr(partitions, "_lattice", no_lattice)
-    for kind, bound in ((ALL, 8), (NC, 9), (INT, 13)):
-        n = bound + 1
-        with pytest.raises(BoundExceededError, match=f"n <= {bound}"):
-            moebius(kind, bottom_partition(n), top_partition(n))
+    monkeypatch.setattr(partitions, "enumerate_partitions", no_enumeration)
+    n = 1000
+    b, t = bottom_partition(n), top_partition(n)
+    assert moebius(ALL, b, t) == (-1) ** (n - 1) * math.factorial(n - 1)
+    assert moebius(NC, b, t) == (-1) ** (n - 1) * catalan(n - 1)
+    assert moebius(INT, b, t) == (-1) ** (n - 1)
 
 
 def test_canonical_form():
@@ -315,6 +316,18 @@ def test_moebius_noncrossing_row_sums_vanish():
                 continue
             row = [tau for tau in lattice if refines(sigma, tau) and refines(tau, pi)]
             assert sum(moebius(NC, sigma, tau) for tau in row) == 0
+
+
+def test_moebius_matches_zeta_sweep_oracle():
+    # every comparable pair: the full lattice to n = 6, noncrossing to 7, interval to 9
+    pairs = 0
+    for kind, top in ((ALL, 6), (NC, 7), (INT, 9)):
+        for n in range(1, top + 1):
+            for pi in enumerate_partitions(n, kind):
+                for sigma, mu in moebius_by_zeta_sweep(kind, pi).items():
+                    assert moebius(kind, sigma, pi) == mu, (kind, sigma, pi)
+                    pairs += 1
+    assert pairs == 22270
 
 
 def test_direct_generation_matches_filtered_enumeration():

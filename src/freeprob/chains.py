@@ -17,11 +17,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import nullspace_vector
 from .errors import BoundExceededError, InputError
 from .trees import (
     BinaryTree,
     _vertex_paths,
+    dyck_factorial,
+    is_dyck_word,
     nt_adjacency,
     enumerate_trees,
     tree_to_dyck,
@@ -42,7 +43,7 @@ __all__ = [
     "move_to_root",
 ]
 
-MAX_CHAIN_N = 6
+MAX_CHAIN_N = 7
 
 
 class ChainStructureError(InputError):
@@ -114,7 +115,7 @@ def mtr_transition_matrix(n: int) -> StochasticMatrix:
     """Move-to-root shape chain on trees with n vertices.
 
     Entry (t, t') is (1/n) * #{vertices v of t : move_to_root(t, v) = t'}.
-    States are the Dyck encodings of the shapes.  Bound: n <= 6.
+    States are the Dyck encodings of the shapes.  Bound: n <= 7.
     """
     _require_chain_size(n)
     trees = enumerate_trees(n)
@@ -129,7 +130,7 @@ def mtr_transition_matrix(n: int) -> StochasticMatrix:
 
 
 def nt_transition_matrix(n: int) -> StochasticMatrix:
-    """Naimi-Trehel chain on Dyck words: mu-adjacency matrix over n+1.  Bound: n <= 6."""
+    """Naimi-Trehel chain on Dyck words: mu-adjacency matrix over n+1.  Bound: n <= 7."""
     _require_chain_size(n)
     words, adjacency = nt_adjacency(n)
     rows = [[Fraction(c, n + 1) for c in row] for row in adjacency]
@@ -162,29 +163,29 @@ def _communicating_classes(p: StochasticMatrix) -> list[list[str]]:
 
 
 def stationary(p: StochasticMatrix) -> Distribution:
-    """Exact stationary distribution: the normalized null vector of (P^T - I).
+    """The tree-factorial law pi(w) = 1/w! of the chains in this module,
+    certified by one exact pass of pi P = pi over the nonzero entries.
 
-    Solved by fraction-free (Bareiss) elimination after clearing denominators.
-    Raises ChainStructureError for reducible chains.
+    An irreducible chain has exactly one stationary law, so the pass proves
+    that pi is it.  There is no general solver: raises ChainStructureError
+    for a reducible chain, and InputError for states that are not Dyck words
+    or any other matrix whose law is not 1/w!.
     """
     classes = _communicating_classes(p)
     if len(classes) != 1:
         raise ChainStructureError(classes)
-    n = len(p.states)
-    system = [
-        [p.rows[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)
-    ]
-    x = nullspace_vector([[Fraction(v) for v in row] for row in system])
-    total = sum(x)
-    if total == 0:
-        raise ChainStructureError(classes)
-    if total < 0:
-        x = [-v for v in x]
-        total = -total
-    weights = [v / total for v in x]
-    if any(w < 0 for w in weights):
-        raise AssertionError("stationary solve produced a sign change (internal error)")
-    return Distribution(dict(zip(p.states, weights)))
+    scope = "stationary serves the chains on Dyck words, whose law is 1/w!"
+    if not all(map(is_dyck_word, p.states)):
+        raise InputError(f"the states are not all Dyck words; {scope}")
+    pi = [Fraction(1, dyck_factorial(w)) for w in p.states]
+    flow = [Fraction(0)] * len(pi)
+    for weight, row in zip(pi, p.rows):
+        for j, x in enumerate(row):
+            if x:
+                flow[j] += weight * x
+    if flow != pi or sum(pi) != 1:
+        raise InputError(f"1/w! is not the stationary law of this matrix; {scope}")
+    return Distribution(dict(zip(p.states, pi)))
 
 
 @dataclass
@@ -202,11 +203,10 @@ def return_time_sum(n: int, chain: str = "nt") -> ReturnTimeSummary:
     expectation is s_{2n} / Catalan(n).
     """
     p = transition_matrix(chain, n)
-    pi = stationary(p)
-    total = sum(1 / w for w in pi.weights.values())
-    assert total.denominator == 1
+    # pi(w) = 1/w!, so each denominator is a return time w!
+    total = sum(w.denominator for w in stationary(p).weights.values())
     count = len(p.states)
-    return ReturnTimeSummary(int(total), count, Fraction(int(total), count))
+    return ReturnTimeSummary(total, count, Fraction(total, count))
 
 
 def simulate(p: StochasticMatrix, steps: int, seed: int) -> Distribution:

@@ -94,32 +94,45 @@ class LabeledTree:
 Tree = Optional[LabeledTree]
 
 
+# The walks below keep their own stack: recursion runs out of frames on deep trees.
+
+
 def labels_of(t: Tree) -> frozenset:
-    if t is None:
-        return frozenset()
-    return labels_of(t.left) | {t.label} | labels_of(t.right)
+    labels, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            labels.append(node.label)
+            stack += (node.left, node.right)
+    return frozenset(labels)
 
 
-def _span(t: Tree):
-    """(min, max) of the subtree labels, None when t is empty, False on an ordering breach."""
-    if t is None:
-        return None
-    lo = hi = t.label
-    left, right = _span(t.left), _span(t.right)
-    for sub in (left, right):
-        if sub is False:
-            return False
-        if sub is not None:
-            lo = min(lo, sub[0])
-            hi = max(hi, sub[1])
-    if left is not None and right is not None and left[1] >= right[0]:
-        return False
-    return lo, hi
+def _anti_increasing_labels(t: Tree) -> Optional[set]:
+    """The label set of t if its labels are distinct and, at every vertex, the
+    left-subtree labels lie below the right-subtree ones; None otherwise."""
+    labels: set = set()
+    spans: list = []  # (min, max) of each finished subtree, None when empty
+    stack: list = [t]  # a 1-tuple (vertex,) marks a vertex whose subtrees are done
+    while stack:
+        node = stack.pop()
+        if node is None:
+            spans.append(None)
+        elif node.__class__ is tuple:
+            label = node[0].label
+            right, left = spans.pop(), spans.pop()
+            if label in labels or (left and right and left[1] >= right[0]):
+                return None
+            labels.add(label)
+            first, last = left or right, right or left
+            spans.append((min(label, first[0]), max(label, last[1])) if first else (label, label))
+        else:
+            stack += ((node,), node.right, node.left)
+    return labels
 
 
 def is_anti_increasing(t: Tree) -> bool:
     """Labels distinct and, at every vertex, left-subtree < right-subtree labels."""
-    return len(labels_of(t)) == tree_size(t) and _span(t) is not False
+    return _anti_increasing_labels(t) is not None
 
 
 def _relabel(t: Tree, new_label) -> Tree:
@@ -137,7 +150,8 @@ def canonical(t: Tree) -> Tree:
 
 def is_ordered(t: Tree) -> bool:
     """Canonical representative: labels exactly {1..n} and anti-increasing."""
-    return labels_of(t) == frozenset(range(1, tree_size(t) + 1)) and _span(t) is not False
+    labels = _anti_increasing_labels(t)
+    return labels is not None and labels == set(range(1, len(labels) + 1))
 
 
 def graft(s: Tree, k: int, t: Tree) -> LabeledTree:

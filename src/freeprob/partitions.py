@@ -274,6 +274,22 @@ def _is_interval(p: Partition) -> bool:
     return all(b[-1] - b[0] + 1 == len(b) for b in p.blocks)
 
 
+def _is_noncrossing(p: Partition) -> bool:
+    """One pass over 1..n with the open blocks on a stack: p is noncrossing
+    iff each element past the first of its block finds that block on top."""
+    owner = {x: b for b in p.blocks for x in b}
+    stack = []
+    for x in range(1, p.n + 1):
+        b = owner[x]
+        if x == b[0]:
+            stack.append(b)
+        elif stack[-1] is not b:
+            return False
+        if x == b[-1]:
+            stack.pop()
+    return True
+
+
 def classify(p: Partition) -> PartitionFlags:
     """Connectivity/irreducibility/noncrossing/interval flags of a partition.
 
@@ -334,7 +350,7 @@ def _member(kind: LatticeKind, p: Partition) -> bool:
     if kind is LatticeKind.ALL:
         return True
     if kind is LatticeKind.NONCROSSING:
-        return _components(p)[1] == 0
+        return _is_noncrossing(p)
     return _is_interval(p)
 
 

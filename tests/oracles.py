@@ -1,7 +1,12 @@
 """Independent cross-checks that only the tests call.
 
-The direct Hankel determinant (Bareiss elimination over the integer-scaled
-matrix) checks the pivot scan of `jacobi_from_moments`, `block_index`
+Fraction-free (Bareiss) elimination keeps every intermediate entry an exact
+integer (each is a minor of the input up to sign); `_forward_eliminate`
+runs it over rows that `clear_denominators` scaled to integers, and two
+oracles are built on it.  The direct Hankel determinant checks the pivot
+scan of `jacobi_from_moments`, and `stationary_by_elimination`, the
+normalized null vector of (P^T - I) from `nullspace_vector`, checks the
+closed-form law 1/w! of `chains.stationary`.  `block_index`
 serves the partition oracles, `partitions_by_rgs` checks the level-by-level
 generation of `enumerate_partitions`, `moebius_by_zeta_sweep` checks the
 product formula behind `partitions.moebius`, `series_in_fractions` checks the
@@ -17,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from freeprob._linalg import _forward_eliminate, clear_denominators
+from freeprob.chains import Distribution, StochasticMatrix
 from freeprob.errors import BoundExceededError
 from freeprob.hopf import LabeledTree, bf_over_labeled
 from freeprob.partitions import LatticeKind, Partition
@@ -25,6 +30,77 @@ from freeprob.transforms import JacobiFit
 from freeprob.transforms.analytic import SERIES_MAX_TERMS, PrecisionError, _digits, _lift, _mp, _real
 
 MAX_HANKEL_DIRECT = 24
+
+
+def _forward_eliminate(a: list[list[int]]) -> tuple[list[tuple[int, int]], int]:
+    """In-place fraction-free elimination; returns (pivot (row, col) list, swap sign)."""
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    pivots: list[tuple[int, int]] = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            a[r], a[pivot_row] = a[pivot_row], a[r]
+            sign = -sign
+        for i in range(r + 1, nrows):
+            row_i, row_r = a[i], a[r]
+            head = row_i[c]
+            for j in range(c + 1, ncols):
+                row_i[j] = (row_r[c] * row_i[j] - head * row_r[j]) // prev
+            row_i[c] = 0
+        prev = a[r][c]
+        pivots.append((r, c))
+        r += 1
+        if r == nrows:
+            break
+    return pivots, sign
+
+
+def clear_denominators(rows: list[list[Fraction]]) -> list[list[int]]:
+    """Scale each row by the (positive) lcm of its denominators."""
+    out = []
+    for row in rows:
+        scale = math.lcm(*(f.denominator for f in row)) if row else 1
+        out.append([int(f * scale) for f in row])
+    return out
+
+
+def nullspace_vector(matrix: list[list[Fraction]]) -> list[Fraction]:
+    """A nonzero rational solution of M x = 0 for a matrix of nullity one.
+
+    Rows are scaled to integers, eliminated fraction-free, and the single
+    free coordinate is set to 1 before exact back-substitution.
+    """
+    a = clear_denominators(matrix)
+    ncols = len(a[0])
+    pivots, _ = _forward_eliminate(a)
+    pivot_cols = {c for _, c in pivots}
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    if len(free_cols) != 1:
+        raise AssertionError(f"expected nullity 1, found {len(free_cols)}")
+    x = [Fraction(0)] * ncols
+    x[free_cols[0]] = Fraction(1)
+    for r, c in reversed(pivots):
+        acc = Fraction(0)
+        for j in range(c + 1, ncols):
+            if a[r][j]:
+                acc += a[r][j] * x[j]
+        x[c] = -acc / a[r][c]
+    return x
+
+
+def stationary_by_elimination(p: StochasticMatrix) -> Distribution:
+    """The stationary law of an irreducible chain: the null vector of
+    (P^T - I), normalized to sum 1 (which also fixes its sign)."""
+    n = len(p.states)
+    x = nullspace_vector([[p.rows[j][i] - (i == j) for j in range(n)] for i in range(n)])
+    total = sum(x)
+    return Distribution({s: v / total for s, v in zip(p.states, x)})
 
 
 def bareiss_det_sign(matrix: list[list[int]]) -> int:

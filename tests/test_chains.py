@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from freeprob.chains import (
+    MAX_CHAIN_N,
     ChainStructureError,
     Distribution,
     StochasticMatrix,
@@ -13,9 +14,11 @@ from freeprob.chains import (
     return_time_sum,
     simulate,
     stationary,
+    transition_matrix,
     tv_distance,
 )
 from freeprob.cumulants import gaussian_shifted_sequence
+from freeprob.errors import BoundExceededError, FreeprobError
 from freeprob.trees import (
     BinaryTree,
     dyck_factorial,
@@ -24,6 +27,7 @@ from freeprob.trees import (
     tree_factorial,
     tree_to_dyck,
 )
+from oracles import stationary_by_elimination
 
 V = BinaryTree
 LEAF = V()
@@ -95,6 +99,29 @@ def test_mtr_and_nt_share_stationary_law():
         assert a.weights == b.weights  # both keyed by Dyck encodings
 
 
+def test_stationary_matches_elimination_oracle():
+    for n in range(1, 7):
+        for model in ("nt", "mtr"):
+            p = transition_matrix(model, n)
+            assert stationary(p).weights == stationary_by_elimination(p).weights
+
+
+def test_stationary_refuses_a_law_other_than_reciprocal_factorial():
+    # a 5-cycle over the n = 3 Dyck words is irreducible, with uniform law 1/5
+    states = nt_transition_matrix(3).states
+    rows = [[F(int(j == (i + 1) % 5)) for j in range(5)] for i in range(5)]
+    p = StochasticMatrix(states, rows)
+    assert stationary_by_elimination(p).weights == {w: F(1, 5) for w in states}
+    with pytest.raises(FreeprobError, match="1/w! is not the stationary law"):
+        stationary(p)
+
+
+def test_stationary_refuses_states_that_are_not_dyck_words():
+    p = StochasticMatrix(["a", "b"], [[F(0), F(1)], [F(1), F(0)]])
+    with pytest.raises(FreeprobError, match="not all Dyck words"):
+        stationary(p)
+
+
 def test_reciprocal_factorials_sum_to_one():
     for n in range(1, 9):
         total = sum(F(1, tree_factorial(t)) for t in enumerate_trees(n))
@@ -112,6 +139,15 @@ def test_return_time_sums():
             assert summary.total == s[2 * n]
             assert summary.state_count == catalan(n)
             assert summary.expected_return == F(s[2 * n], catalan(n))
+
+
+def test_return_time_sum_at_the_chain_bound():
+    assert MAX_CHAIN_N == 7
+    s = gaussian_shifted_sequence(14)
+    for chain in ("nt", "mtr"):
+        assert return_time_sum(7, chain).total == s[14]
+        with pytest.raises(BoundExceededError):
+            return_time_sum(8, chain)
 
 
 def test_reducible_chain_reports_classes():

@@ -30,6 +30,7 @@ from freeprob.hopf import (
     hilbert_dimension,
     is_anti_increasing,
     is_ordered,
+    labels_of,
     lr_coproduct,
     lr_product,
     shift_labels,
@@ -483,6 +484,23 @@ def test_labeled_tree_equality_walks_deep_chains():
     differ = chain([0] + labels[1:])  # only the deepest label differs
     assert a != differ and not a == differ
     assert a != N(1) and a.__eq__(None) is NotImplemented
+
+
+def test_order_checks_walk_deep_chains():
+    # a left chain of 2,500 vertices, far deeper than the recursion limit
+    def chain(bottom, labels):
+        t = bottom
+        for k in labels:
+            t = N(k, t, None)
+        return t
+
+    n = 2500
+    ordered = chain(None, range(1, n + 1))
+    assert is_ordered(ordered) and is_anti_increasing(ordered)
+    assert labels_of(ordered) == frozenset(range(1, n + 1))
+    breach = chain(N(1, N(3), N(2)), range(4, n + 1))  # only the deepest vertex breaks order
+    assert not is_ordered(breach) and not is_anti_increasing(breach)
+    assert not is_ordered(chain(None, range(2, n + 2)))  # labels not 1..n
 
 
 # ------------------------------------------------- Brouder-Frabetti

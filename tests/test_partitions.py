@@ -20,6 +20,7 @@ from freeprob.partitions import (
     statistics,
     top_partition,
     _is_interval,
+    _is_noncrossing,
 )
 from oracles import block_index, moebius_by_zeta_sweep, partitions_by_rgs
 
@@ -84,6 +85,9 @@ def test_moebius_enumerates_no_lattice_at_n_1000(monkeypatch):
     assert moebius(ALL, b, t) == (-1) ** (n - 1) * math.factorial(n - 1)
     assert moebius(NC, b, t) == (-1) ** (n - 1) * catalan(n - 1)
     assert moebius(INT, b, t) == (-1) ** (n - 1)
+    crossing = Partition.of(n, [[1, 3], [2, 4]] + [[x] for x in range(5, n + 1)])
+    with pytest.raises(LatticeMembershipError):
+        moebius(NC, crossing, t)
 
 
 def test_canonical_form():
@@ -180,25 +184,6 @@ def test_connected_implies_irreducible():
                 assert f.noncrossing
 
 
-def _noncrossing_by_stack(p):
-    # independent route: scan 1..n keeping the open blocks on a stack; an
-    # element may only continue the top block or open a new one
-    owner = block_index(p)
-    stack = []
-    for x in range(1, p.n + 1):
-        b = owner[x]
-        block = p.blocks[b]
-        if stack and stack[-1] == b:
-            if x == block[-1]:
-                stack.pop()
-        elif x == block[0]:
-            if x != block[-1]:
-                stack.append(b)
-        else:
-            return False
-    return True
-
-
 def _crossings_by_quadruples(p):
     # independent route: test all C(n, 4) quadruples a<b<c<d
     owner = block_index(p)
@@ -215,7 +200,7 @@ def test_noncrossing_iff_components_are_single_blocks():
             s = statistics(p)
             noncrossing = classify(p).noncrossing
             assert noncrossing == (s.cc == len(p.blocks))
-            assert noncrossing == _noncrossing_by_stack(p)
+            assert noncrossing == _is_noncrossing(p)
 
 
 def test_crossing_count_matches_quadruple_oracle():
@@ -333,7 +318,7 @@ def test_moebius_matches_zeta_sweep_oracle():
 def test_direct_generation_matches_filtered_enumeration():
     for n in range(1, 9):
         every = enumerate_partitions(n, ALL)
-        assert enumerate_partitions(n, NC) == [p for p in every if _noncrossing_by_stack(p)]
+        assert enumerate_partitions(n, NC) == [p for p in every if _is_noncrossing(p)]
         assert enumerate_partitions(n, INT) == [p for p in every if _is_interval(p)]
 
 

@@ -16,6 +16,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import BoundExceededError, InputError
 from .trees import (
@@ -145,20 +146,37 @@ def transition_matrix(model: str, n: int) -> StochasticMatrix:
 
 
 def _communicating_classes(p: StochasticMatrix) -> list[list[str]]:
-    """Classes of mutual reachability in the positive-transition digraph: the
-    states that v reaches and that reach v back, sorted by their smallest index."""
+    """Classes of mutual reachability in the positive-transition digraph, each
+    sorted and listed by smallest index: Kosaraju's two searches, without
+    recursion, so linear in the edges."""
     n = len(p.states)
-    succ = [[j for j in range(n) if p.rows[i][j] > 0] for i in range(n)]
-    reach = []
-    for v in range(n):
-        seen, stack = {v}, [v]
+    succ = [[j for j, x in enumerate(row) if x] for row in p.rows]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for i, targets in enumerate(succ):
+        for j in targets:
+            pred[j].append(i)
+    finished, seen = [], [False] * n  # the states in the order the first search leaves them
+    for root in range(n):
+        stack = [] if seen[root] else [(root, iter(succ[root]))]
+        seen[root] = True
         while stack:
-            for w in succ[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        reach.append(seen)
-    classes = {tuple(sorted(w for w in reach[v] if v in reach[w])) for v in range(n)}
+            w = next((w for w in stack[-1][1] if not seen[w]), None)
+            if w is None:
+                finished.append(stack.pop()[0])
+            else:
+                seen[w] = True
+                stack.append((w, iter(succ[w])))
+    classes, placed = [], [False] * n
+    for root in reversed(finished):  # each search of the reversed digraph finds one class
+        comp = [] if placed[root] else [root]
+        placed[root] = True
+        for v in comp:  # comp grows as it is read
+            for w in pred[v]:
+                if not placed[w]:
+                    placed[w] = True
+                    comp.append(w)
+        if comp:
+            classes.append(sorted(comp))
     return [[p.states[i] for i in comp] for comp in sorted(classes)]
 
 
@@ -223,20 +241,20 @@ def simulate(p: StochasticMatrix, steps: int, seed: int) -> Distribution:
     if steps == 0:
         return Distribution({p.states[0]: Fraction(1)})
     rng = random.Random(seed)
-    cumulative = []
+    # per row, the running sums over its positive entries only, the last forced
+    # to 1.0, so a float sum short of 1 or a draw of 0.0 never lands on a zero
+    rows = []
     for row in p.rows:
-        acc = 0.0
-        cum = []
-        for value in row:
-            acc += float(value)
-            cum.append(acc)
-        cum[-1] = 1.0
-        cumulative.append(cum)
+        columns = [j for j, x in enumerate(row) if x]
+        cumulative = list(accumulate(float(row[j]) for j in columns))
+        cumulative[-1] = 1.0
+        rows.append((cumulative, columns))
     counts = [0] * len(p.states)
     state = 0
     burn_in = steps // 10
     for step in range(burn_in + steps):
-        state = bisect_left(cumulative[state], rng.random())
+        cumulative, columns = rows[state]
+        state = columns[bisect_left(cumulative, rng.random())]
         if step >= burn_in:
             counts[state] += 1
     return Distribution(

@@ -12,10 +12,12 @@ independent implementations:
 * a lattice sum over enumerated partitions (Moebius inversion evaluated by
   subtraction of multiplicative terms), used as the small-order oracle.
 
+The connected and irreducible partition sums compose two series solves
+(the literal lattice sums are a test oracle).  Free and boolean additive
+convolution are the coordinatewise sums of free and boolean cumulants.
 Also here: the Gaussian specialisations (connected-pairing cumulants, the
-Riordan recursion for the shifted sequence), weighted pairing sums, the
-noncrossing inner-point sum, and dilation/convolution in cumulant
-coordinates.
+Riordan recursion for the shifted sequence), weighted pairing sums and the
+noncrossing inner-point sum.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from typing import Iterable, Sequence
 from .errors import BoundExceededError, InputError
 from .partitions import (
     LatticeKind,
-    classify,
     enumerate_pairings,
     enumerate_partitions,
     _moebius_value,
@@ -57,9 +58,6 @@ __all__ = [
     "gaussian_free_cumulants",
     "weighted_pairing_moment",
     "nc_innerpoint_sum",
-    "dilate_free",
-    "free_convolve",
-    "boolean_convolve",
 ]
 
 MAX_LATTICE_ORDER = 11
@@ -265,25 +263,18 @@ def cumulant_via_moebius_weights(moments: Sequence, flavour: str, order: int) ->
     return sum(weights, Fraction(0))
 
 
-def _flagged_sum(seq: Sequence, order: int, kind: LatticeKind, flag: str, what: str) -> Fraction:
-    """The sum of prod_B seq_{|B|} over the partitions of {1..order} in the
-    `kind` lattice whose PartitionFlags field `flag` holds."""
-    values = _fracs(seq)
-    if order > MAX_LATTICE_ORDER:
-        raise BoundExceededError(f"{what} sum bound is order <= {MAX_LATTICE_ORDER}")
-    _require_order(values, order)
-    partitions = enumerate_partitions(order, kind)
-    return sum((_partition_weight(values, p) for p in partitions if getattr(classify(p), flag)), Fraction(0))
-
-
 def free_from_classical(classical: Sequence, order: int) -> Fraction:
-    """fc_n as the sum of prod_B k_{|B|} over connected partitions of {1..n}."""
-    return _flagged_sum(classical, order, LatticeKind.ALL, "connected", "connected-partition")
+    """fc_n, the sum of prod_B k_{|B|} over connected partitions of {1..n},
+    through the moments of k_1..k_n.  Bounds: the series ones (order <= 240)."""
+    _require_order(classical, order)
+    return free_from_moments(moments_from_classical(classical[: order + 1]))[order]
 
 
 def boolean_from_free(free: Sequence, order: int) -> Fraction:
-    """bc_n as the sum of prod_B fc_{|B|} over irreducible noncrossing partitions."""
-    return _flagged_sum(free, order, LatticeKind.NONCROSSING, "irreducible", "irreducible-NC")
+    """bc_n, the sum of prod_B fc_{|B|} over irreducible noncrossing partitions
+    of {1..n}, through the moments of fc_1..fc_n.  Bounds: the series ones (order <= 240)."""
+    _require_order(free, order)
+    return boolean_from_moments(moments_from_free(free[: order + 1]))[order]
 
 
 MAX_RIORDAN_ORDER = 600
@@ -381,25 +372,3 @@ def nc_innerpoint_sum(two_n: int) -> int:
         total += prod
     return total
 
-
-def dilate_free(free: Sequence, factor) -> list[Fraction]:
-    """Dilation by b in free-cumulant coordinates: fc_n -> b^n fc_n."""
-    b = Fraction(factor)
-    return [Fraction(x) * b**k for k, x in enumerate(_fracs(free))]
-
-
-def _convolve(a: Sequence, b: Sequence) -> list[Fraction]:
-    fa, fb = _fracs(a), _fracs(b)
-    if len(fa) != len(fb):
-        raise InputError("cumulant sequences must have equal length")
-    return [x + y for x, y in zip(fa, fb)]
-
-
-def free_convolve(free_a: Sequence, free_b: Sequence) -> list[Fraction]:
-    """Free additive convolution: coordinatewise sum of free cumulants."""
-    return _convolve(free_a, free_b)
-
-
-def boolean_convolve(bool_a: Sequence, bool_b: Sequence) -> list[Fraction]:
-    """Boolean convolution: coordinatewise sum of boolean cumulants."""
-    return _convolve(bool_a, bool_b)

@@ -169,9 +169,16 @@ def shift_labels(t: Tree, delta: int) -> Tree:
     return _relabel(t, lambda label: label + delta)
 
 
-def _require_size(n: int, bound: int, what: str) -> None:
-    if n > bound:
-        raise BoundExceededError(f"{what} bound is {bound} vertices")
+def _require_size(trees: tuple, bound: int, what: str) -> None:
+    """Refuse trees of more than `bound` vertices in all; counts at most bound + 1."""
+    count, stack = 0, list(trees)
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            count += 1
+            if count > bound:
+                raise BoundExceededError(f"{what} bound is {bound} vertices")
+            stack += (node.left, node.right)
 
 
 def _require_ordered(t: Tree) -> None:
@@ -267,7 +274,7 @@ def lr_product(s: Tree, t: Tree) -> dict:
     is exercised in the tests), so all terms carry canonical labels already.
     Bound: size(s) + size(t) <= 19.
     """
-    _require_size(tree_size(s) + tree_size(t), MAX_PRODUCT_SIZE, "product")
+    _require_size((s, t), MAX_PRODUCT_SIZE, "product")
     _require_ordered(s)
     _require_ordered(t)
     return _product(s, t)
@@ -300,7 +307,7 @@ def lr_coproduct(t: Tree) -> dict:
     Gradings add: size(left) + size(right) = size(t) in every term.
     Bound: size(t) <= 16.
     """
-    _require_size(tree_size(t), MAX_COPRODUCT_SIZE, "coproduct")
+    _require_size((t,), MAX_COPRODUCT_SIZE, "coproduct")
     _require_ordered(t)
     return _coproduct(t)
 
@@ -333,7 +340,7 @@ def antipode(t: Tree) -> dict:
     S(t) = -t - sum of S(t_(1)) * t_(2) over proper coproduct terms, with t checked
     once and each distinct coproduct, antipode and product taken once, in tables
     local to the call and freed on return.  Bound: size(t) <= 9."""
-    _require_size(tree_size(t), MAX_ANTIPODE_SIZE, "antipode")
+    _require_size((t,), MAX_ANTIPODE_SIZE, "antipode")
     _require_ordered(t)
     # the table takes each subtree's coproduct once, so only products are cached
     return _antipode(t, {None: {None: 1}}, _coproduct, lru_cache(maxsize=None)(_product))
@@ -485,7 +492,7 @@ def _bf_cop_labeled(t: Tree) -> Counter:
 def bf_coproduct(t: Tree) -> dict:
     """Charge coproduct of an ordered tree; gradings add in every term.
     Bound: size(t) <= 17."""
-    _require_size(tree_size(t), MAX_BF_COPRODUCT_SIZE, "charge coproduct")
+    _require_size((t,), MAX_BF_COPRODUCT_SIZE, "charge coproduct")
     _require_ordered(t)
     return _graded_tensor(_bf_cop_labeled, t, "charge coproduct")
 

@@ -11,7 +11,11 @@ serves the partition oracles, `partitions_by_rgs` checks the level-by-level
 generation of `enumerate_partitions`, `moebius_by_zeta_sweep` checks the
 product formula behind `partitions.moebius`, `series_in_fractions` checks the
 integer triangular solve behind the six series conversions of
-`freeprob.cumulants`, `bf_coproduct_by_subtraction` checks the one-rule
+`freeprob.cumulants`, `flagged_partition_sum` checks the connected and
+irreducible sums that `free_from_classical` and `boolean_from_free` compose
+from two of those conversions, `communicating_classes_by_reach` checks the
+linear strongly-connected-components pass of `freeprob.chains`,
+`bf_coproduct_by_subtraction` checks the one-rule
 charge coproduct of `freeprob.hopf`, and `phi_pair_by_terms` checks the
 block-cached series kernel `_phi_pair` of `freeprob.transforms.analytic`.
 """
@@ -25,7 +29,7 @@ from typing import Sequence
 from freeprob.chains import Distribution, StochasticMatrix
 from freeprob.errors import BoundExceededError
 from freeprob.hopf import LabeledTree, bf_over_labeled
-from freeprob.partitions import LatticeKind, Partition
+from freeprob.partitions import LatticeKind, Partition, classify, enumerate_partitions
 from freeprob.transforms import JacobiFit
 from freeprob.transforms.analytic import SERIES_MAX_TERMS, PrecisionError, _digits, _lift, _mp, _real
 
@@ -101,6 +105,25 @@ def stationary_by_elimination(p: StochasticMatrix) -> Distribution:
     x = nullspace_vector([[p.rows[j][i] - (i == j) for j in range(n)] for i in range(n)])
     total = sum(x)
     return Distribution({s: v / total for s, v in zip(p.states, x)})
+
+
+def communicating_classes_by_reach(p: StochasticMatrix) -> list[list[str]]:
+    """Classes of mutual reachability in the positive-transition digraph: the
+    states that v reaches and that reach v back, sorted by their smallest
+    index.  One reach set per state, so quadratic in the states or worse."""
+    n = len(p.states)
+    succ = [[j for j in range(n) if p.rows[i][j] > 0] for i in range(n)]
+    reach = []
+    for v in range(n):
+        seen, stack = {v}, [v]
+        while stack:
+            for w in succ[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach.append(seen)
+    classes = {tuple(sorted(w for w in reach[v] if v in reach[w])) for v in range(n)}
+    return [[p.states[i] for i in comp] for comp in sorted(classes)]
 
 
 def bareiss_det_sign(matrix: list[list[int]]) -> int:
@@ -249,6 +272,25 @@ def series_in_fractions(seq: Sequence, kind: str, to_moments: bool) -> list[Frac
         else:
             k[j] = m[j] - acc
     return m if to_moments else k
+
+
+@lru_cache(maxsize=16)
+def _flagged_block_sizes(kind: LatticeKind, n: int, flag: str) -> tuple[tuple[int, ...], ...]:
+    """Block sizes of each partition of {1..n} in the `kind` lattice whose
+    PartitionFlags field `flag` holds."""
+    return tuple(
+        tuple(len(b) for b in p.blocks) for p in enumerate_partitions(n, kind) if getattr(classify(p), flag)
+    )
+
+
+def flagged_partition_sum(seq: Sequence, order: int, kind: LatticeKind, flag: str) -> Fraction:
+    """The sum of prod_B seq_{|B|} over the partitions of {1..order} in the
+    `kind` lattice whose `flag` holds: free cumulants from classical ones over
+    connected partitions (ALL, "connected"), boolean from free over
+    irreducible noncrossing ones (NONCROSSING, "irreducible"), boolean from
+    classical over irreducible ones (ALL, "irreducible")."""
+    values = [Fraction(x) for x in seq]
+    return sum((math.prod(values[size] for size in sizes) for sizes in _flagged_block_sizes(kind, order, flag)), Fraction(0))
 
 
 def bf_coproduct_by_subtraction(t) -> Counter:

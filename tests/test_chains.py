@@ -1,8 +1,11 @@
 import math
+import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
+from freeprob import chains
 from freeprob.chains import (
     MAX_CHAIN_N,
     ChainStructureError,
@@ -27,7 +30,7 @@ from freeprob.trees import (
     tree_factorial,
     tree_to_dyck,
 )
-from oracles import stationary_by_elimination
+from oracles import communicating_classes_by_reach, stationary_by_elimination
 
 V = BinaryTree
 LEAF = V()
@@ -155,6 +158,39 @@ def test_reducible_chain_reports_classes():
     with pytest.raises(ChainStructureError) as err:
         stationary(p)
     assert sorted(map(tuple, err.value.classes)) == [("a",), ("b",)]
+
+
+def test_communicating_classes_match_reach_oracle():
+    for n in range(1, 7):
+        for model in ("nt", "mtr"):
+            p = transition_matrix(model, n)
+            assert chains._communicating_classes(p) == communicating_classes_by_reach(p)
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        rows = []
+        for _ in range(n):
+            targets = rng.sample(range(n), rng.randint(1, min(n, 3)))
+            rows.append([F(int(j in targets), len(targets)) for j in range(n)])
+        p = StochasticMatrix([f"s{i}" for i in range(n)], rows)
+        assert chains._communicating_classes(p) == communicating_classes_by_reach(p)
+
+
+@pytest.mark.parametrize(
+    "draw, rows, never",
+    [
+        # seven floats of 1/7 sum to 0.9999999999999998, below this draw
+        (1 - 2**-53, [[F(1, 7)] * 7 + [F(0)]] * 7 + [[F(1)] + [F(0)] * 7], "s7"),
+        # a draw of 0.0 is not above the running sum of a leading zero
+        (0.0, [[F(0), F(1)], [F(0), F(1)]], "s0"),
+    ],
+    ids=["float-sum-short-of-one", "zero-draw"],
+)
+def test_simulate_never_takes_a_zero_transition(monkeypatch, draw, rows, never):
+    generator = SimpleNamespace(random=lambda: draw)
+    monkeypatch.setattr(chains, "random", SimpleNamespace(Random=lambda seed: generator))
+    p = StochasticMatrix([f"s{i}" for i in range(len(rows))], rows)
+    assert simulate(p, 100, seed=1).weights[never] == 0
 
 
 def test_simulate_deterministic_and_close():

@@ -10,14 +10,11 @@ from freeprob.cumulants import (
     MAX_SERIES_ORDER,
     WeightKind,
     WeightSpec,
-    boolean_convolve,
     boolean_from_free,
     boolean_from_moments,
     classical_from_moments,
     cumulant_via_moebius_weights,
     cumulants_via_lattice,
-    dilate_free,
-    free_convolve,
     free_from_classical,
     free_from_moments,
     gaussian_free_cumulants,
@@ -30,7 +27,9 @@ from freeprob.cumulants import (
     weighted_pairing_moment,
 )
 from freeprob.errors import BoundExceededError
-from freeprob.partitions import classify, enumerate_partitions, LatticeKind
+from freeprob.partitions import LatticeKind, classify
+
+from oracles import flagged_partition_sum
 
 GAUSS_MOMENTS = [1, 0, 1, 0, 3, 0, 15, 0, 105, 0, 945]
 
@@ -263,14 +262,34 @@ def test_boolean_from_classical_irreducible_sum():
     cc = classical_from_moments(m)
     bc = boolean_from_moments(m)
     for n in range(1, 8):
-        total = F(0)
-        for p in enumerate_partitions(n, LatticeKind.ALL):
-            if classify(p).irreducible:
-                prod = F(1)
-                for block in p.blocks:
-                    prod *= cc[len(block)]
-                total += prod
-        assert total == bc[n]
+        assert flagged_partition_sum(cc, n, LatticeKind.ALL, "irreducible") == bc[n]
+
+
+@pytest.mark.parametrize("seq_index", [0, 3, 4])
+def test_connected_and_irreducible_sums_match_lattice_oracle(seq_index):
+    m = ORACLE_SEQUENCES[seq_index][:10]
+    cc = classical_from_moments(m)
+    fc = free_from_moments(m)
+    for n in range(1, 10):
+        assert free_from_classical(cc, n) == flagged_partition_sum(cc, n, LatticeKind.ALL, "connected")
+        assert boolean_from_free(fc, n) == flagged_partition_sum(fc, n, LatticeKind.NONCROSSING, "irreducible")
+
+
+def test_free_from_classical_gaussian_past_lattice_orders():
+    # the Gaussian's only classical cumulant is k_2 = 1; its free cumulants
+    # count connected pairings, which the Riordan recursion gives independently
+    cc = [F(0), F(0), F(1)] + [F(0)] * 58
+    fc = gaussian_free_cumulants(60)
+    for n in range(1, 61):
+        assert free_from_classical(cc, n) == fc[n]
+
+
+def test_boolean_from_free_semicircle_past_lattice_orders():
+    # the semicircle's only free cumulant is fc_2 = 1; its boolean cumulants
+    # are b_{2j} = Catalan(j - 1) and vanish at odd orders
+    fc = [F(0), F(0), F(1)] + [F(0)] * 58
+    for n in range(1, 61):
+        assert boolean_from_free(fc, n) == (catalan(n // 2 - 1) if n % 2 == 0 else 0)
 
 
 @pytest.mark.parametrize(
@@ -392,12 +411,7 @@ def test_nc_innerpoint_matches_shifted_sequence():
         assert nc_innerpoint_sum(two_n) == s[two_n]
 
 
-# ------------------------------------------------- dilation and convolution
-
-
-def test_dilate_identity():
-    fc = [F(0), F(1), F(2), F(3)]
-    assert dilate_free(fc, 1) == fc
+# ------------------------------------------------- dilation
 
 
 def test_dilate_scaled_gaussian_moment():
@@ -407,23 +421,3 @@ def test_dilate_scaled_gaussian_moment():
     assert m[4] == s + 2 * s**2
     spec = WeightSpec(WeightKind.CC_POWER, s)
     assert weighted_pairing_moment(4, spec) == m[4]
-
-
-def test_free_convolve_semicircles():
-    semi = [F(0), F(0), F(1), F(0)]
-    out = free_convolve(semi, semi)
-    assert out == [F(0), F(0), F(2), F(0)]
-
-
-def test_convolve_length_mismatch():
-    with pytest.raises(ValueError):
-        free_convolve([F(0), F(1)], [F(0)])
-    with pytest.raises(ValueError):
-        boolean_convolve([F(0)], [F(0), F(1)])
-
-
-def test_boolean_convolve_via_moments():
-    bc_a = boolean_from_moments(ORACLE_SEQUENCES[3][:7])
-    bc_b = boolean_from_moments(gauss_moments(6))
-    total = boolean_convolve(bc_a, bc_b)
-    assert total == [a + b for a, b in zip(bc_a, bc_b)]

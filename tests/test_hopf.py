@@ -369,6 +369,16 @@ def test_single_operation_bound_errors(monkeypatch):
     assert MAX_PRODUCT_SIZE >= 10
 
 
+def test_single_operation_bounds_refuse_deep_chains():
+    # a left chain of 2,500 vertices, far deeper than the recursion limit: the
+    # door check stops counting one vertex past the bound
+    deep = _left_chain(2500)
+    ops = [antipode, lr_coproduct, bf_coproduct, lambda t: lr_product(t, None), lambda t: lr_product(N(1), t)]
+    for op in ops:
+        with pytest.raises(BoundExceededError, match="bound is"):
+            op(deep)
+
+
 def test_counit_projection():
     assert counit({None: 3, V1: 5}) == 3
     assert counit({V1: 5}) == 0

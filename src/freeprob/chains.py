@@ -7,13 +7,16 @@ the mu-operator adjacency matrix divided by n+1.  Both chains are
 irreducible with stationary weight 1 / (tree factorial).
 
 States are encoded as Dyck words throughout (tree shapes via the alpha
-bijection), so the two chains share a state alphabet.
+bijection), so the two chains share a state alphabet.  A matrix holds one
+sparse row per state, {column: weight} over its positive entries only; the
+chains built here list the columns in increasing order.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -21,11 +24,11 @@ from itertools import accumulate
 from .errors import BoundExceededError, InputError
 from .trees import (
     BinaryTree,
+    _mu_rows,
     _vertex_paths,
     dyck_factorial,
-    is_dyck_word,
-    nt_adjacency,
     enumerate_trees,
+    is_dyck_word,
     tree_to_dyck,
 )
 
@@ -44,7 +47,10 @@ __all__ = [
     "move_to_root",
 ]
 
-MAX_CHAIN_N = 7
+MAX_CHAIN_N = 8
+# `simulate` walks about 3 M transitions a second (2-core machine, either
+# chain at n = 8), so the bound keeps a walk and its burn-in near 20 s.
+MAX_SIMULATE_STEPS = 50_000_000
 
 
 class ChainStructureError(InputError):
@@ -58,18 +64,20 @@ class ChainStructureError(InputError):
 @dataclass
 class StochasticMatrix:
     states: list[str]
-    rows: list[list[Fraction]]
+    rows: list[dict[int, Fraction]]
 
     def __post_init__(self):
         n = len(self.states)
         if len(set(self.states)) != n:
             raise InputError("duplicate states")
-        if len(self.rows) != n or any(len(r) != n for r in self.rows):
-            raise InputError("matrix must be square over the state list")
+        if len(self.rows) != n or not all(isinstance(row, dict) for row in self.rows):
+            raise InputError("one row per state, each a dict from column to weight")
         for row in self.rows:
-            if any(x < 0 for x in row):
-                raise InputError("negative transition weight")
-            if sum(row) != 1:
+            if not all(type(j) is int and 0 <= j < n for j in row):
+                raise InputError("column outside the state list")
+            if not all(x > 0 for x in row.values()):
+                raise InputError("transition weights must be positive; leave zero entries out")
+            if sum(row.values()) != 1:
                 raise InputError("row does not sum to 1")
 
 
@@ -91,51 +99,45 @@ def _require_chain_size(n: int) -> None:
         raise BoundExceededError(f"chain bound is n <= {MAX_CHAIN_N}")
 
 
-def _rotate_up(t: BinaryTree, path: tuple) -> BinaryTree:
-    """Promote the vertex at `path` (nonempty) over its parent by one rotation."""
-    if len(path) == 1:
-        if path[0] == "L":
-            v = t.left
-            return BinaryTree(v.left, BinaryTree(v.right, t.right))
-        v = t.right
-        return BinaryTree(BinaryTree(t.left, v.left), v.right)
-    if path[0] == "L":
-        return BinaryTree(_rotate_up(t.left, path[1:]), t.right)
-    return BinaryTree(t.left, _rotate_up(t.right, path[1:]))
-
-
 def move_to_root(t: BinaryTree, path: tuple) -> BinaryTree:
-    """Rotate the vertex at `path` upward until it becomes the root."""
-    while path:
-        t = _rotate_up(t, path)
-        path = path[:-1]
-    return t
+    """Rotate the vertex at `path` upward until it becomes the root.  Rotations
+    keep the in-order, so an ancestor where the path turns right joins the new
+    left subtree with its own left subtree, and any other the new right one."""
+    ancestors = []
+    for step in path:
+        ancestors.append((t, step))
+        t = t.left if step == "L" else t.right
+    left, right = t.left, t.right
+    for x, step in reversed(ancestors):
+        if step == "R":
+            left = BinaryTree(x.left, left)
+        else:
+            right = BinaryTree(right, x.right)
+    return BinaryTree(left, right)
 
 
 def mtr_transition_matrix(n: int) -> StochasticMatrix:
     """Move-to-root shape chain on trees with n vertices.
 
     Entry (t, t') is (1/n) * #{vertices v of t : move_to_root(t, v) = t'}.
-    States are the Dyck encodings of the shapes.  Bound: n <= 7.
+    States are the Dyck encodings of the shapes.  Bound: n <= 8.
     """
     _require_chain_size(n)
     trees = enumerate_trees(n)
     states = [tree_to_dyck(t) for t in trees]
     index = {w: i for i, w in enumerate(states)}
-    rows = [[Fraction(0)] * len(states) for _ in states]
-    for i, t in enumerate(trees):
-        for path in _vertex_paths(t):
-            target = index[tree_to_dyck(move_to_root(t, path))]
-            rows[i][target] += Fraction(1, n)
+    rows = []
+    for t in trees:
+        targets = Counter(index[tree_to_dyck(move_to_root(t, path))] for path in _vertex_paths(t))
+        rows.append({j: Fraction(k, n) for j, k in sorted(targets.items())})
     return StochasticMatrix(states, rows)
 
 
 def nt_transition_matrix(n: int) -> StochasticMatrix:
-    """Naimi-Trehel chain on Dyck words: mu-adjacency matrix over n+1.  Bound: n <= 7."""
+    """Naimi-Trehel chain on Dyck words: row w is mu(w) over n+1.  Bound: n <= 8."""
     _require_chain_size(n)
-    words, adjacency = nt_adjacency(n)
-    rows = [[Fraction(c, n + 1) for c in row] for row in adjacency]
-    return StochasticMatrix(words, rows)
+    words, mu = _mu_rows(n)
+    return StochasticMatrix(words, [{j: Fraction(c, n + 1) for j, c in row.items()} for row in mu])
 
 
 def transition_matrix(model: str, n: int) -> StochasticMatrix:
@@ -150,14 +152,13 @@ def _communicating_classes(p: StochasticMatrix) -> list[list[str]]:
     sorted and listed by smallest index: Kosaraju's two searches, without
     recursion, so linear in the edges."""
     n = len(p.states)
-    succ = [[j for j, x in enumerate(row) if x] for row in p.rows]
     pred: list[list[int]] = [[] for _ in range(n)]
-    for i, targets in enumerate(succ):
-        for j in targets:
+    for i, row in enumerate(p.rows):
+        for j in row:
             pred[j].append(i)
     finished, seen = [], [False] * n  # the states in the order the first search leaves them
     for root in range(n):
-        stack = [] if seen[root] else [(root, iter(succ[root]))]
+        stack = [] if seen[root] else [(root, iter(p.rows[root]))]
         seen[root] = True
         while stack:
             w = next((w for w in stack[-1][1] if not seen[w]), None)
@@ -165,7 +166,7 @@ def _communicating_classes(p: StochasticMatrix) -> list[list[str]]:
                 finished.append(stack.pop()[0])
             else:
                 seen[w] = True
-                stack.append((w, iter(succ[w])))
+                stack.append((w, iter(p.rows[w])))
     classes, placed = [], [False] * n
     for root in reversed(finished):  # each search of the reversed digraph finds one class
         comp = [] if placed[root] else [root]
@@ -182,7 +183,7 @@ def _communicating_classes(p: StochasticMatrix) -> list[list[str]]:
 
 def stationary(p: StochasticMatrix) -> Distribution:
     """The tree-factorial law pi(w) = 1/w! of the chains in this module,
-    certified by one exact pass of pi P = pi over the nonzero entries.
+    certified by one exact pass of pi P = pi over the entries of the rows.
 
     An irreducible chain has exactly one stationary law, so the pass proves
     that pi is it.  There is no general solver: raises ChainStructureError
@@ -198,9 +199,8 @@ def stationary(p: StochasticMatrix) -> Distribution:
     pi = [Fraction(1, dyck_factorial(w)) for w in p.states]
     flow = [Fraction(0)] * len(pi)
     for weight, row in zip(pi, p.rows):
-        for j, x in enumerate(row):
-            if x:
-                flow[j] += weight * x
+        for j, x in row.items():
+            flow[j] += weight * x
     if flow != pi or sum(pi) != 1:
         raise InputError(f"1/w! is not the stationary law of this matrix; {scope}")
     return Distribution(dict(zip(p.states, pi)))
@@ -235,20 +235,22 @@ def simulate(p: StochasticMatrix, steps: int, seed: int) -> Distribution:
     `steps` transitions.  The generator is random.Random(seed)
     (Mersenne Twister), so output is deterministic given (matrix, steps,
     seed).  steps = 0 degenerates to a point mass at the start state.
+    Bound: steps <= 50,000,000.
     """
     if steps < 0:
         raise InputError("steps must be nonnegative")
+    if steps > MAX_SIMULATE_STEPS:
+        raise BoundExceededError(f"simulation bound is steps <= {MAX_SIMULATE_STEPS}")
     if steps == 0:
         return Distribution({p.states[0]: Fraction(1)})
     rng = random.Random(seed)
-    # per row, the running sums over its positive entries only, the last forced
-    # to 1.0, so a float sum short of 1 or a draw of 0.0 never lands on a zero
+    # per row, the running sums over its positive entries, the last forced to
+    # 1.0, so a float sum short of 1 or a draw of 0.0 never lands on a zero
     rows = []
     for row in p.rows:
-        columns = [j for j, x in enumerate(row) if x]
-        cumulative = list(accumulate(float(row[j]) for j in columns))
+        cumulative = list(accumulate(map(float, row.values())))
         cumulative[-1] = 1.0
-        rows.append((cumulative, columns))
+        rows.append((cumulative, list(row)))
     counts = [0] * len(p.states)
     state = 0
     burn_in = steps // 10

@@ -94,6 +94,8 @@ def _parse_grid(spec: str, max_points: int) -> list[complex]:
         x0, x1, y0, y1 = float(x0), float(x1), float(y0), float(y1)
     except ValueError as exc:
         raise InputError(f"malformed grid spec {spec!r}; expected x0:x1:nx,y0:y1:ny") from exc
+    if nx < 1 or ny < 1:
+        raise InputError(f"grid spec {spec!r} needs at least one point on each axis")
     if nx * ny > max_points:
         raise BoundExceededError(f"grid bound is nx * ny <= {max_points} points at this precision")
     xs = [x0 + (x1 - x0) * i / max(nx - 1, 1) for i in range(nx)]
@@ -267,8 +269,7 @@ def _cmd_chains(args) -> int:
         edges = [
             {"from": state, "to": matrix.states[j], "weight": weight}
             for state, row in zip(matrix.states, matrix.rows)
-            for j, weight in enumerate(row)
-            if weight
+            for j, weight in row.items()
         ]
         rows = [(e["from"], e["to"], e["weight"]) for e in edges]
         _emit(args, {"states": matrix.states, "edges": edges}, rows, ("from", "to", "weight"))

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import BoundExceededError, InputError
-from .trees import enumerate_trees, tree_size
+from .trees import _build, _preorder, enumerate_trees, tree_size
 
 __all__ = [
     "LabeledTree",
@@ -94,17 +94,8 @@ class LabeledTree:
 Tree = Optional[LabeledTree]
 
 
-# The walks below keep their own stack: recursion runs out of frames on deep trees.
-
-
 def labels_of(t: Tree) -> frozenset:
-    labels, stack = [], [t]
-    while stack:
-        node = stack.pop()
-        if node is not None:
-            labels.append(node.label)
-            stack += (node.left, node.right)
-    return frozenset(labels)
+    return frozenset(node.label for node in _preorder(t) if node is not None)
 
 
 def _anti_increasing_labels(t: Tree) -> Optional[set]:
@@ -112,21 +103,16 @@ def _anti_increasing_labels(t: Tree) -> Optional[set]:
     left-subtree labels lie below the right-subtree ones; None otherwise."""
     labels: set = set()
     spans: list = []  # (min, max) of each finished subtree, None when empty
-    stack: list = [t]  # a 1-tuple (vertex,) marks a vertex whose subtrees are done
-    while stack:
-        node = stack.pop()
+    for node in reversed(_preorder(t)):  # as in _build
         if node is None:
             spans.append(None)
-        elif node.__class__ is tuple:
-            label = node[0].label
-            right, left = spans.pop(), spans.pop()
-            if label in labels or (left and right and left[1] >= right[0]):
-                return None
-            labels.add(label)
-            first, last = left or right, right or left
-            spans.append((min(label, first[0]), max(label, last[1])) if first else (label, label))
-        else:
-            stack += ((node,), node.right, node.left)
+            continue
+        label, left, right = node.label, spans.pop(), spans.pop()
+        if label in labels or (left and right and left[1] >= right[0]):
+            return None
+        labels.add(label)
+        first, last = left or right, right or left
+        spans.append((min(label, first[0]), max(label, last[1])) if first else (label, label))
     return labels
 
 
@@ -135,17 +121,12 @@ def is_anti_increasing(t: Tree) -> bool:
     return _anti_increasing_labels(t) is not None
 
 
-def _relabel(t: Tree, new_label) -> Tree:
-    """The tree t with every label k replaced by new_label(k)."""
-    if t is None:
-        return None
-    return LabeledTree(new_label(t.label), _relabel(t.left, new_label), _relabel(t.right, new_label))
-
-
 def canonical(t: Tree) -> Tree:
     """Relabel by rank to {1..n}, preserving the induced linear order."""
-    ranks = {lab: i + 1 for i, lab in enumerate(sorted(labels_of(t)))}
-    return _relabel(t, ranks.__getitem__)
+    preorder = _preorder(t)
+    labels = sorted(node.label for node in preorder if node is not None)
+    ranks = {label: i + 1 for i, label in enumerate(labels)}
+    return _build(preorder, lambda node, left, right: LabeledTree(ranks[node.label], left, right))
 
 
 def is_ordered(t: Tree) -> bool:
@@ -166,7 +147,7 @@ def graft(s: Tree, k: int, t: Tree) -> LabeledTree:
 
 
 def shift_labels(t: Tree, delta: int) -> Tree:
-    return _relabel(t, lambda label: label + delta)
+    return _build(_preorder(t), lambda node, left, right: LabeledTree(node.label + delta, left, right))
 
 
 def _require_size(trees: tuple, bound: int, what: str) -> None:
@@ -444,12 +425,17 @@ def antipode_check(max_size: int) -> CheckResult:
 
 
 def bf_over_labeled(s: Tree, t: Tree) -> Tree:
-    """Graft s onto the leftmost leaf of t: s/(t1 v t2) = (s/t1) v t2."""
-    if t is None:
-        return s
+    """Graft s onto the leftmost leaf of t: s/(t1 v t2) = (s/t1) v t2, so the
+    left spine of t is rebuilt, bottom up, over s."""
     if s is None:
         return t
-    return LabeledTree(t.label, bf_over_labeled(s, t.left), t.right)
+    spine = []
+    while t is not None:
+        spine.append(t)
+        t = t.left
+    for node in reversed(spine):
+        s = LabeledTree(node.label, s, node.right)
+    return s
 
 
 def bf_over(s: Tree, t: Tree) -> Tree:
@@ -502,23 +488,23 @@ def bf_coproduct(t: Tree) -> dict:
 
 def tree_to_nested(t: Tree):
     """Nested-list form: None, [label] for a leaf, else [label, left, right]."""
-    if t is None:
-        return None
-    if t.left is None and t.right is None:
-        return [t.label]
-    return [t.label, tree_to_nested(t.left), tree_to_nested(t.right)]
+    return _build(_preorder(t), lambda node, left, right: (
+        [node.label] if left is right is None else [node.label, left, right]))
 
 
 def tree_from_nested(data) -> Tree:
-    if data is None:
-        return None
-    if not isinstance(data, (list, tuple)) or not data:
-        raise InputError(f"malformed tree encoding: {data!r}")
-    label = data[0]
-    if not isinstance(label, int) or isinstance(label, bool):
-        raise InputError(f"tree label must be an integer: {label!r}")
-    if len(data) == 1:
-        return LabeledTree(label)
-    if len(data) == 3:
-        return LabeledTree(label, tree_from_nested(data[1]), tree_from_nested(data[2]))
-    raise InputError(f"malformed tree encoding: {data!r}")
+    """Inverse of tree_to_nested; the parts are checked in preorder."""
+    preorder, stack = [], [data]
+    while stack:
+        item = stack.pop()
+        preorder.append(item)
+        if item is None:
+            continue
+        if not isinstance(item, (list, tuple)) or not item:
+            raise InputError(f"malformed tree encoding: {item!r}")
+        if not isinstance(item[0], int) or isinstance(item[0], bool):
+            raise InputError(f"tree label must be an integer: {item[0]!r}")
+        if len(item) not in (1, 3):
+            raise InputError(f"malformed tree encoding: {item!r}")
+        stack += (item[2], item[1]) if len(item) == 3 else (None, None)
+    return _build(preorder, lambda item, left, right: LabeledTree(item[0], left, right))

@@ -130,12 +130,10 @@ CF_MAX_DEPTH = 1 << 17
 
 
 @_scoped
-def cf_eval(c, z, tol: float = 1e-13, depth: Optional[int] = None, *,
-            dps: Optional[int] = None):
+def cf_eval(c, z, tol: float = 1e-13, *, dps: Optional[int] = None):
     """Backward-evaluated continued fraction for G with numerators c+k.
 
-    With depth=None the depth doubles until two successive approximants
-    agree within tol; an explicit depth returns that single approximant.
+    The depth doubles until two successive approximants agree within tol.
     Requires Im z > 0 (convergence slows like (1/Im z)^2 near the axis) or
     |z| >= 40; below the real axis the fraction would converge to the
     reflected Cauchy transform, not the analytic continuation, and is
@@ -156,10 +154,6 @@ def cf_eval(c, z, tol: float = 1e-13, depth: Optional[int] = None, *,
             g = (cval + k) / (w - g)
         return 1 / (w - g)
 
-    if depth is not None:
-        if depth < 1:
-            raise InputError("depth must be at least 1")
-        return approximant(depth)
     if _im(w) > 0 and _im(w) < CF_MIN_IM and abs(w) < 40:
         raise PrecisionError(
             f"continued fraction too slow at Im z = {_im(w)}; use the series route"

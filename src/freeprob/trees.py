@@ -36,11 +36,11 @@ __all__ = [
 MAX_TREE_ENUM = 12
 MAX_DYCK_ENUM = 8
 # Longest Dyck word the word operations accept, checked before any work.
-# Depth binds, not time: mu, nu and the factorial recurse one level per
-# factor, up to two frames a level, and from a shallow stack mu first
-# exceeds Python's default limit of 1000 frames at U^497 D^497.  At 600
-# letters the slowest word measured, U^300 D^300, takes 21 ms for mu
-# (2-core machine) and leaves callers about 400 frames.
+# Depth binds, not time: mu and nu (alone here) recurse one level per factor,
+# up to two frames a level, and from a shallow stack mu first exceeds
+# Python's default limit of 1000 frames at U^497 D^497.  At 600 letters the
+# slowest word measured, U^300 D^300, takes 21 ms for mu (2-core machine)
+# and leaves callers about 400 frames.
 MAX_DYCK_LENGTH = 600
 
 
@@ -54,12 +54,41 @@ class BinaryTree:
     right: "BinaryTree | None" = None
 
 
+def _preorder(t) -> list:
+    """The vertices of t in preorder, with None for each empty subtree.  Any
+    node with .left and .right will do, so hopf's labeled trees share this
+    walk, and it keeps its own stack: recursion runs out of frames on deep trees."""
+    out, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if node is not None:
+            stack += (node.right, node.left)
+    return out
+
+
+def _build(preorder: list, make):
+    """Fold a tree listed in preorder, with None for each empty subtree, from
+    the bottom up without recursion: an empty subtree gives None, and a vertex
+    gives make(item, left, right) of its item and its two subtrees' results."""
+    built: list = []  # in reversed preorder a vertex's left result lies above its right one
+    for item in reversed(preorder):
+        built.append(None if item is None else make(item, built.pop(), built.pop()))
+    return built[0]
+
+
 def tree_size(t) -> int:
-    """Vertex count of a tree; any node with .left and .right will do, so
-    hopf's labeled trees share it."""
-    if t is None:
-        return 0
-    return 1 + tree_size(t.left) + tree_size(t.right)
+    """Vertex count of a tree; like _preorder it keeps its own stack, but it
+    never pushes an empty subtree."""
+    count, stack = 0, [t] if t is not None else []
+    while stack:
+        node = stack.pop()
+        count += 1
+        if node.left is not None:
+            stack.append(node.left)
+        if node.right is not None:
+            stack.append(node.right)
+    return count
 
 
 def enumerate_trees(n: int) -> list:
@@ -83,18 +112,17 @@ def enumerate_trees(n: int) -> list:
     return table[n]
 
 
-def _size_and_factorial(t: BinaryTree | None) -> tuple[int, int]:
-    if t is None:
-        return 0, 1
-    left_size, left_fact = _size_and_factorial(t.left)
-    right_size, right_fact = _size_and_factorial(t.right)
-    n = left_size + right_size + 1
-    return n, n * left_fact * right_fact
-
-
 def tree_factorial(t: BinaryTree | None) -> int:
-    """Tree factorial: empty! = 1 and t! = n * left! * right! for n vertices."""
-    return _size_and_factorial(t)[1]
+    """Tree factorial: empty! = 1 and t! = n * left! * right! for n vertices,
+    i.e. the product of the subtree sizes."""
+    product, sizes = 1, []
+    for node in reversed(_preorder(t)):  # as in _build
+        if node is None:
+            sizes.append(0)
+        else:
+            sizes.append(sizes.pop() + sizes.pop() + 1)
+            product *= sizes[-1]
+    return product
 
 
 def s_via_trees(n: int) -> int:
@@ -170,56 +198,36 @@ def tree_to_dyck(t: BinaryTree | None) -> str:
 
 
 def dyck_to_tree(word: str) -> BinaryTree | None:
+    """Inverse of alpha in one pass: stack[d] is the tree of the factors read
+    at depth d, and each D makes the factor it closes their right subtree."""
     _require_dyck(word)
-    return _dyck_to_tree(word)
-
-
-def _dyck_to_tree(word: str) -> BinaryTree | None:
-    if not word:
-        return None
-    u, v = split_last_factor(word)
-    return BinaryTree(_dyck_to_tree(u), _dyck_to_tree(v))
+    stack: list = [None]
+    for ch in word:
+        if ch == "U":
+            stack.append(None)
+        else:
+            inner = stack.pop()
+            stack[-1] = BinaryTree(stack[-1], inner)
+    return stack[0]
 
 
 def dyck_factorial(word: str) -> int:
-    """Factorial on Dyck words: 1 for the empty word, (uUvD)! = n * u! * v!.
+    """Factorial on Dyck words: 1 for the empty word, (uUvD)! = n * u! * v!,
+    i.e. the tree factorial carried along alpha.
 
     Bound: words of at most 600 letters."""
-    _require_dyck(word)
-    return _dyck_factorial(word)
-
-
-def _dyck_factorial(word: str) -> int:
-    if not word:
-        return 1
-    u, v = split_last_factor(word)
-    return (len(word) // 2) * _dyck_factorial(u) * _dyck_factorial(v)
+    return tree_factorial(dyck_to_tree(word))
 
 
 def enumerate_dyck_words(n: int) -> list[str]:
-    """Dyck words of length 2n in lexicographic order with U < D.  Bound: n <= 8."""
+    """Dyck words of length 2n in lexicographic order with U < D: the
+    alpha-images of the trees with n vertices.  Bound: n <= 8."""
     if n < 0:
         raise InputError("n must be nonnegative")
     if n > MAX_DYCK_ENUM:
         raise BoundExceededError(f"Dyck enumeration bound is n <= {MAX_DYCK_ENUM}")
-    out: list[str] = []
-
-    def rec(prefix: list, opens: int, depth: int):
-        if opens == 0 and depth == 0:
-            out.append("".join(prefix))
-            return
-        # 'U' < 'D' lexicographically, so try an upstep first
-        if opens > 0:
-            prefix.append("U")
-            rec(prefix, opens - 1, depth + 1)
-            prefix.pop()
-        if depth > 0:
-            prefix.append("D")
-            rec(prefix, opens, depth - 1)
-            prefix.pop()
-
-    rec([], n, 0)
-    return out
+    # on words of one length, U < D is the reverse of the character order D < U
+    return sorted(map(tree_to_dyck, enumerate_trees(n)), reverse=True)
 
 
 # ------------------------------------------------------- mu / nu / owedge
@@ -272,6 +280,15 @@ def mu_operator(word: str) -> dict[str, int]:
     return dict(sorted(_mu(word).items()))
 
 
+def _mu_rows(n: int) -> tuple[list[str], list[dict[int, int]]]:
+    """The Dyck words of length 2n in canonical order and, for each word w,
+    the mu(w) coefficients as {index of the term: coefficient}, by increasing
+    index; over n+1 they are the Naimi-Trehel transition rows.  Bound: n <= 8."""
+    words = enumerate_dyck_words(n)
+    index = {w: i for i, w in enumerate(words)}
+    return words, [dict(sorted((index[v], c) for v, c in _mu(w).items())) for w in words]
+
+
 def nt_adjacency(n: int) -> tuple[list[str], list[list[int]]]:
     """Weighted adjacency matrix of the mu operator on Dyck words of length 2n.
 
@@ -279,10 +296,9 @@ def nt_adjacency(n: int) -> tuple[list[str], list[list[int]]]:
     by n+1 gives the row-stochastic Naimi-Trehel transition matrix.
     Bound: n <= 8.
     """
-    words = enumerate_dyck_words(n)
-    index = {w: i for i, w in enumerate(words)}
+    words, rows = _mu_rows(n)
     matrix = [[0] * len(words) for _ in words]
-    for i, w in enumerate(words):
-        for term, coef in mu_operator(w).items():
-            matrix[i][index[term]] = coef
+    for dense, row in zip(matrix, rows):
+        for j, coef in row.items():
+            dense[j] = coef
     return words, matrix

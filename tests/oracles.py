@@ -16,8 +16,10 @@ irreducible sums that `free_from_classical` and `boolean_from_free` compose
 from two of those conversions, `communicating_classes_by_reach` checks the
 linear strongly-connected-components pass of `freeprob.chains`,
 `bf_coproduct_by_subtraction` checks the one-rule
-charge coproduct of `freeprob.hopf`, and `phi_pair_by_terms` checks the
-block-cached series kernel `_phi_pair` of `freeprob.transforms.analytic`.
+charge coproduct of `freeprob.hopf`, `phi_pair_by_terms` checks the
+block-cached series kernel `_phi_pair` of `freeprob.transforms.analytic`, and
+`cf_approximant` is one fixed-depth approximant of the continued fraction
+that `cf_eval` deepens until it settles.
 """
 
 import math
@@ -102,7 +104,7 @@ def stationary_by_elimination(p: StochasticMatrix) -> Distribution:
     """The stationary law of an irreducible chain: the null vector of
     (P^T - I), normalized to sum 1 (which also fixes its sign)."""
     n = len(p.states)
-    x = nullspace_vector([[p.rows[j][i] - (i == j) for j in range(n)] for i in range(n)])
+    x = nullspace_vector([[p.rows[j].get(i, 0) - (i == j) for j in range(n)] for i in range(n)])
     total = sum(x)
     return Distribution({s: v / total for s, v in zip(p.states, x)})
 
@@ -112,7 +114,7 @@ def communicating_classes_by_reach(p: StochasticMatrix) -> list[list[str]]:
     states that v reaches and that reach v back, sorted by their smallest
     index.  One reach set per state, so quadratic in the states or worse."""
     n = len(p.states)
-    succ = [[j for j in range(n) if p.rows[i][j] > 0] for i in range(n)]
+    succ = [[j for j in range(n) if p.rows[i].get(j, 0) > 0] for i in range(n)]
     reach = []
     for v in range(n):
         seen, stack = {v}, [v]
@@ -370,3 +372,12 @@ def phi_pair_by_terms(c, z, dps=None):
     else:
         raise PrecisionError(f"series for phi did not settle in {SERIES_MAX_TERMS} terms at z={z}")
     return pe, dpe, po, dpo, float(scale)
+
+
+def cf_approximant(c: float, z: complex, depth: int) -> complex:
+    """The depth-d approximant 1/(z - (c+1)/(z - (c+2)/(z - ... (c+d)/z)))
+    of G in binary64, evaluated backward as `cf_eval` does."""
+    g = 0j
+    for k in range(depth, 0, -1):
+        g = (c + k) / (z - g)
+    return 1 / (z - g)

@@ -8,6 +8,7 @@ import pytest
 from freeprob import chains
 from freeprob.chains import (
     MAX_CHAIN_N,
+    MAX_SIMULATE_STEPS,
     ChainStructureError,
     Distribution,
     StochasticMatrix,
@@ -50,22 +51,30 @@ def test_rotation_on_two_vertices():
 
 def test_mtr_matrix_small():
     p = mtr_transition_matrix(1)
-    assert p.rows == [[F(1)]]
+    assert p.rows == [{0: F(1)}]
 
     p = mtr_transition_matrix(2)
-    assert p.rows == [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]]
+    assert p.rows == [{0: F(1, 2), 1: F(1, 2)}, {0: F(1, 2), 1: F(1, 2)}]
 
 
 def test_rows_are_stochastic():
     for n in range(1, 6):
         for matrix in (mtr_transition_matrix(n), nt_transition_matrix(n)):
             for row in matrix.rows:
-                assert sum(row) == 1
+                assert sum(row.values()) == 1
+
+
+def test_rows_hold_positive_weights_in_increasing_columns():
+    for n in range(1, MAX_CHAIN_N + 1):
+        for model in ("nt", "mtr"):
+            for row in transition_matrix(model, n).rows:
+                assert list(row) == sorted(row)
+                assert all(x > 0 for x in row.values())
 
 
 def test_nt_matrix_matches_mu():
     p = nt_transition_matrix(1)
-    assert p.rows == [[F(1)]]
+    assert p.rows == [{0: F(1)}]
     p = nt_transition_matrix(3)
     assert len(p.states) == 5
     p4 = nt_transition_matrix(4)
@@ -92,7 +101,7 @@ def test_stationary_fixed_point_exact():
         pi = stationary(p)
         vec = [pi.weights[s] for s in p.states]
         for j in range(len(p.states)):
-            assert sum(vec[i] * p.rows[i][j] for i in range(len(vec))) == vec[j]
+            assert sum(vec[i] * p.rows[i].get(j, 0) for i in range(len(vec))) == vec[j]
 
 
 def test_mtr_and_nt_share_stationary_law():
@@ -112,7 +121,7 @@ def test_stationary_matches_elimination_oracle():
 def test_stationary_refuses_a_law_other_than_reciprocal_factorial():
     # a 5-cycle over the n = 3 Dyck words is irreducible, with uniform law 1/5
     states = nt_transition_matrix(3).states
-    rows = [[F(int(j == (i + 1) % 5)) for j in range(5)] for i in range(5)]
+    rows = [{(i + 1) % 5: F(1)} for i in range(5)]
     p = StochasticMatrix(states, rows)
     assert stationary_by_elimination(p).weights == {w: F(1, 5) for w in states}
     with pytest.raises(FreeprobError, match="1/w! is not the stationary law"):
@@ -120,7 +129,7 @@ def test_stationary_refuses_a_law_other_than_reciprocal_factorial():
 
 
 def test_stationary_refuses_states_that_are_not_dyck_words():
-    p = StochasticMatrix(["a", "b"], [[F(0), F(1)], [F(1), F(0)]])
+    p = StochasticMatrix(["a", "b"], [{1: F(1)}, {0: F(1)}])
     with pytest.raises(FreeprobError, match="not all Dyck words"):
         stationary(p)
 
@@ -145,16 +154,16 @@ def test_return_time_sums():
 
 
 def test_return_time_sum_at_the_chain_bound():
-    assert MAX_CHAIN_N == 7
-    s = gaussian_shifted_sequence(14)
+    assert MAX_CHAIN_N == 8
+    s = gaussian_shifted_sequence(16)
     for chain in ("nt", "mtr"):
-        assert return_time_sum(7, chain).total == s[14]
+        assert return_time_sum(8, chain).total == s[16]
         with pytest.raises(BoundExceededError):
-            return_time_sum(8, chain)
+            return_time_sum(9, chain)
 
 
 def test_reducible_chain_reports_classes():
-    p = StochasticMatrix(["a", "b"], [[F(1), F(0)], [F(0), F(1)]])
+    p = StochasticMatrix(["a", "b"], [{0: F(1)}, {1: F(1)}])
     with pytest.raises(ChainStructureError) as err:
         stationary(p)
     assert sorted(map(tuple, err.value.classes)) == [("a",), ("b",)]
@@ -171,7 +180,7 @@ def test_communicating_classes_match_reach_oracle():
         rows = []
         for _ in range(n):
             targets = rng.sample(range(n), rng.randint(1, min(n, 3)))
-            rows.append([F(int(j in targets), len(targets)) for j in range(n)])
+            rows.append({j: F(1, len(targets)) for j in sorted(targets)})
         p = StochasticMatrix([f"s{i}" for i in range(n)], rows)
         assert chains._communicating_classes(p) == communicating_classes_by_reach(p)
 
@@ -180,9 +189,9 @@ def test_communicating_classes_match_reach_oracle():
     "draw, rows, never",
     [
         # seven floats of 1/7 sum to 0.9999999999999998, below this draw
-        (1 - 2**-53, [[F(1, 7)] * 7 + [F(0)]] * 7 + [[F(1)] + [F(0)] * 7], "s7"),
+        (1 - 2**-53, [dict.fromkeys(range(7), F(1, 7))] * 7 + [{0: F(1)}], "s7"),
         # a draw of 0.0 is not above the running sum of a leading zero
-        (0.0, [[F(0), F(1)], [F(0), F(1)]], "s0"),
+        (0.0, [{1: F(1)}, {1: F(1)}], "s0"),
     ],
     ids=["float-sum-short-of-one", "zero-draw"],
 )
@@ -211,8 +220,32 @@ def test_simulate_zero_steps_degenerate():
     assert d.weights == {p.states[0]: F(1)}
 
 
+def test_simulate_steps_bound():
+    p = nt_transition_matrix(2)
+    with pytest.raises(BoundExceededError, match=f"steps <= {MAX_SIMULATE_STEPS}"):
+        simulate(p, MAX_SIMULATE_STEPS + 1, seed=1)
+    # the bound is checked before the walk: a walk of this length would take hours
+    with pytest.raises(BoundExceededError):
+        simulate(p, 10**10, seed=1)
+
+
 def test_distribution_validation():
     with pytest.raises(ValueError):
         Distribution({"a": F(1, 2)})
     with pytest.raises(ValueError):
-        StochasticMatrix(["a"], [[F(1, 2)]])
+        StochasticMatrix(["a"], [{0: F(1, 2)}])
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([F(0), F(1)], "dict from column to weight"),  # a dense row
+        ({2: F(1)}, "outside the state list"),
+        ({"1": F(1)}, "outside the state list"),
+        ({0: F(0), 1: F(1)}, "must be positive"),  # a zero entry would be an edge
+        ({0: F(-1, 2), 1: F(3, 2)}, "must be positive"),
+    ],
+)
+def test_sparse_row_validation(row, message):
+    with pytest.raises(FreeprobError, match=message):
+        StochasticMatrix(["a", "b"], [row, {0: F(1)}])

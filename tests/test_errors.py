@@ -119,6 +119,9 @@ HOSTILE = {
     "transform-inf-tol": ["transform", "--c", "0", "--op", "cf", "--tol", "inf"],
     "transform-nan-grid": ["transform", "--c", "0", "--grid=nan:1:2,1:2:2"],
     "transform-overflowing-grid": ["transform", "--c", "0", "--grid=-1e308:1e308:3,1:2:2"],
+    # a count below 1 on either axis is refused, not read as an empty grid
+    "transform-grid-zero-count": ["transform", "--c", "0", "--grid", "0:1:3000000,1:2:0"],
+    "transform-grid-negative-counts": ["transform", "--c", "0", "--grid=0:1:-2,1:2:-3"],
     "g-at-the-pole": ["transform", "--c=-1", "--grid=0:0:1,0:0:1"],
     "phi-negative-tol": ["transform", "--c", "0", "--op", "phi", "--tol=-1", "--grid=0:0:1,1:1:1"],
     "density-nan-eps": ["density", "--c", "0", "--eps", "nan"],

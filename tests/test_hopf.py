@@ -1,4 +1,5 @@
 import gc
+import math
 from collections import Counter
 from itertools import permutations
 
@@ -7,7 +8,7 @@ import pytest
 from freeprob.cumulants import gaussian_shifted_sequence
 from freeprob import hopf
 from freeprob.errors import BoundExceededError
-from freeprob.trees import count_anti_increasing_labelings, enumerate_trees
+from freeprob.trees import count_anti_increasing_labelings, enumerate_trees, tree_factorial
 from freeprob.hopf import (
     MAX_ANTIPODE_SIZE,
     MAX_BF_COPRODUCT_SIZE,
@@ -511,6 +512,19 @@ def test_order_checks_walk_deep_chains():
     breach = chain(N(1, N(3), N(2)), range(4, n + 1))  # only the deepest vertex breaks order
     assert not is_ordered(breach) and not is_anti_increasing(breach)
     assert not is_ordered(chain(None, range(2, n + 2)))  # labels not 1..n
+
+
+def test_relabeling_grafting_and_serialization_walk_deep_chains():
+    # a left chain of 2,500 vertices, far deeper than the recursion limit
+    n = 2500
+    deep = _left_chain(n)
+    assert tree_size(deep) == n and tree_factorial(deep) == math.factorial(n)
+    shifted = shift_labels(deep, 10)
+    assert labels_of(shifted) == frozenset(range(11, n + 11)) and canonical(shifted) == deep
+    nested = tree_to_nested(deep)
+    assert nested[0] == n and nested[2] is None
+    assert tree_from_nested(nested) == deep
+    assert bf_over(deep, deep) == _left_chain(2 * n)
 
 
 # ------------------------------------------------- Brouder-Frabetti

@@ -19,6 +19,7 @@ from freeprob.trees import (
     nu_operator,
     owedge,
     s_via_trees,
+    split_last_factor,
     tree_factorial,
     tree_size,
     tree_to_dyck,
@@ -104,6 +105,11 @@ def test_dyck_factorial_matches_tree_factorial():
     for n in range(0, 7):
         for t in enumerate_trees(n):
             assert dyck_factorial(tree_to_dyck(t)) == tree_factorial(t)
+    # the defining recursion (uUvD)! = n * u! * v!, split at the last factor
+    for n in range(1, 7):
+        for w in enumerate_dyck_words(n):
+            u, v = split_last_factor(w)
+            assert dyck_factorial(w) == n * dyck_factorial(u) * dyck_factorial(v)
 
 
 def test_dyck_parse_errors():

@@ -487,13 +487,11 @@ def _desk_checks(level: str):
         return True
 
     def chain_stationary():
+        # stationary builds the law 1/w! and certifies it exactly, or raises
         top = 5 if deep else 4
         for n in range(1, top + 1):
             for model in ("nt", "mtr"):
-                pi = chains_mod.stationary(chains_mod.transition_matrix(model, n))
-                for word, weight in pi.weights.items():
-                    if weight != F(1, trees_mod.dyck_factorial(word)):
-                        return False
+                chains_mod.stationary(chains_mod.transition_matrix(model, n))
         return True
 
     def hopf_laws():

@@ -151,15 +151,9 @@ def shift_labels(t: Tree, delta: int) -> Tree:
 
 
 def _require_size(trees: tuple, bound: int, what: str) -> None:
-    """Refuse trees of more than `bound` vertices in all; counts at most bound + 1."""
-    count, stack = 0, list(trees)
-    while stack:
-        node = stack.pop()
-        if node is not None:
-            count += 1
-            if count > bound:
-                raise BoundExceededError(f"{what} bound is {bound} vertices")
-            stack += (node.left, node.right)
+    """Refuse trees of more than `bound` vertices in all."""
+    if sum(map(tree_size, trees)) > bound:
+        raise BoundExceededError(f"{what} bound is {bound} vertices")
 
 
 def _require_ordered(t: Tree) -> None:

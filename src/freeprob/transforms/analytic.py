@@ -58,20 +58,11 @@ class PrecisionError(FreeprobError, ArithmeticError):
 
 
 class PoleError(FreeprobError, ArithmeticError):
-    """Evaluation too close to a pole; carries a location estimate."""
-
-    def __init__(self, message, location=None):
-        super().__init__(message)
-        self.location = location
+    """Evaluation too close to a pole of G."""
 
 
 class ContinuationError(FreeprobError, ArithmeticError):
-    """Newton continuation failed; carries the last good point."""
-
-    def __init__(self, message, last_target=None, last_value=None):
-        super().__init__(message)
-        self.last_target = last_target
-        self.last_value = last_value
+    """A Newton continuation stage of the inverse transform failed."""
 
 
 def _scoped(fn):
@@ -304,38 +295,6 @@ def _gauss_G(z, dps: Optional[int] = None):
     return expf(-w2 / 2) * bracket, cancel
 
 
-# series overflow guard in binary64 (worst term ~ exp(|z|^2 / 2))
-def _series_overflow_safe(w, dps: Optional[int]) -> bool:
-    return dps is not None or abs(w) <= 30.0
-
-
-def _series_phi(c: Fraction, w, dps: Optional[int]):
-    """(phi, phi', mix_scale) of the physical branch phi = phi_e + rho * phi_o;
-    mix_scale bounds the magnitudes summed, so it measures cancellation."""
-    pe, dpe, po, dpo, scale = _phi_pair(c, w, dps=dps)
-    rho = _phi_mixture_ratio(c, dps)
-    phi = pe + rho * po
-    dphi = dpe + rho * dpo
-    return phi, dphi, max(float(scale), float(abs(rho) * scale))
-
-
-def _series_G_value(c: Fraction, w, dps: Optional[int], series=None):
-    """(G or None, cancellation ratio) via the entire-series branch; c != -1.
-    series, when given, is _series_phi(c, w, dps) already summed (c != 0).
-
-    Pole detection is left to the caller: a value is only trustworthy when
-    the caller accepts the cancellation ratio, so no pole is signalled here.
-    """
-    if c == 0:
-        return _gauss_G(w, dps=dps)
-    phi, dphi, mix_scale = series or _series_phi(c, w, dps)
-    cval = _real(c, _mp(dps))
-    if abs(phi) == 0:
-        return None, math.inf
-    cancel = mix_scale / float(abs(phi))
-    return -dphi / (cval * phi), cancel
-
-
 # prefer the series while it retains this many digits; accept down to the
 # floor only where the continued fraction is not applicable (near or below
 # the real axis, where ~10 digits of G still beat having no value at all)
@@ -364,53 +323,62 @@ def G_eval(c, z, *, dps: Optional[int] = None):
     continuation), otherwise the continued fraction in the upper half-plane.
     c = -1 returns 1/z.
     """
-    return _routed_G(mu_c_parameter(c, binary64=True), z, dps)
-
-
-def _routed_G(c: Fraction, z, dps: Optional[int], series=None):
-    """G_eval on a checked c; series, when given, is _series_phi(c, z, dps)
-    already summed at the lifted z, so it is not summed again."""
-    mp_mod = _mp(dps)
-    w = _lift(z, mp_mod)
-    if c == -1:
-        if w == 0:
-            raise PoleError("G of the point mass at 0 has its pole at z = 0", location=0)
-        return 1 / w
-    if _series_overflow_safe(w, dps):
-        value, cancel = _series_G_value(c, w, dps, series)
-        if _series_trusted(cancel, w, dps):
-            # for c != 0 the series branch is singular only at zeros of phi,
-            # so a huge trustworthy value means a genuine pole (c = 0 has
-            # none: its continuation merely grows below the axis)
-            if c != 0 and (value is None or abs(value) > 1e12):
-                estimate = None if value is None else w + 1 / (_real(c, mp_mod) * value)
-                raise PoleError("evaluation too close to a pole of G", location=estimate)
-            return value
-    if _cf_applies(w):
-        return cf_eval(c, w, dps=dps)
-    raise PrecisionError(
-        f"series cancellation too severe at z={z} and the continued fraction "
-        "does not apply there; retry with a higher dps"
-    )
+    return _routed(mu_c_parameter(c, binary64=True), z, dps, reciprocal=False)
 
 
 @_scoped
 def F_eval(c, z, *, dps: Optional[int] = None):
     """Reciprocal transform F = 1/G, via -c phi / phi' on the series branch;
     where that quotient loses too many digits, 1/G by G_eval's routes."""
-    c = mu_c_parameter(c, binary64=True)
+    return _routed(mu_c_parameter(c, binary64=True), z, dps, reciprocal=True)
+
+
+def _routed(c: Fraction, z, dps: Optional[int], reciprocal: bool):
+    """G (F = 1/G when reciprocal) at z on a checked c, the one place a route
+    is chosen.  The series is summed at most once: for c != 0 it gives the
+    physical branch phi = phi_e + rho phi_o, and F first tries its own
+    quotient -c phi / phi'.  A series G is returned where its cancellation
+    ratio is trusted; for c != 0 its only singularities are the zeros of
+    phi, so a huge trusted value is a genuine pole (c = 0 has none: its
+    continuation merely grows below the axis).  Otherwise the continued
+    fraction serves where it applies, and nothing does elsewhere."""
     mp_mod = _mp(dps)
     w = _lift(z, mp_mod)
     if c == -1:
-        return w
-    series = None
-    if c != 0 and _series_overflow_safe(w, dps):
-        phi, dphi, mix_scale = series = _series_phi(c, w, dps)
-        if abs(dphi) > 0 and _series_trusted(mix_scale / float(abs(dphi)), w, dps):
+        if reciprocal:
+            return w
+        if w == 0:
+            raise PoleError("G of the point mass at 0 has its pole at z = 0")
+        return 1 / w
+    # series overflow guard in binary64 (worst term ~ exp(|z|^2 / 2))
+    if dps is not None or abs(w) <= 30.0:
+        if c == 0:
+            value, cancel = _gauss_G(w, dps=dps)
+        else:
+            pe, dpe, po, dpo, scale = _phi_pair(c, w, dps=dps)
+            rho = _phi_mixture_ratio(c, dps)
+            phi = pe + rho * po
+            dphi = dpe + rho * dpo
+            # bounds the magnitudes summed, so it measures cancellation
+            mix_scale = max(float(scale), float(abs(rho) * scale))
+            cval = _real(c, mp_mod)
+            if reciprocal and abs(dphi) > 0 and _series_trusted(mix_scale / float(abs(dphi)), w, dps):
+                return 0 * w if abs(phi) == 0 else -cval * phi / dphi
             if abs(phi) == 0:
-                return 0 * w
-            return -_real(c, mp_mod) * phi / dphi
-    return 1 / _routed_G(c, w, dps, series)
+                value, cancel = None, math.inf
+            else:
+                value, cancel = -dphi / (cval * phi), mix_scale / float(abs(phi))
+        if _series_trusted(cancel, w, dps):
+            if c != 0 and abs(value) > 1e12:
+                raise PoleError("evaluation too close to a pole of G")
+            return 1 / value if reciprocal else value
+    if _cf_applies(w):
+        value = cf_eval(c, w, dps=dps)
+        return 1 / value if reciprocal else value
+    raise PrecisionError(
+        f"series cancellation too severe at z={z} and the continued fraction "
+        "does not apply there; retry with a higher dps"
+    )
 
 
 # ------------------------------------------------------------ residual checks
@@ -497,7 +465,7 @@ def voiculescu_phi(c, z, tol: float = 1e-11, *, dps: Optional[int] = None):
 
     Continuation targets z + i T, T = 10 (1 + |z|) halving until it drops
     below tol; Newton uses the exact derivative F' = -F^2 + wF - c.  Raises
-    ContinuationError (with the last good stage) if a stage fails.
+    ContinuationError if a stage fails.
     """
     c = mu_c_parameter(c, binary64=True)
     if c == -1:
@@ -517,7 +485,6 @@ def voiculescu_phi(c, z, tol: float = 1e-11, *, dps: Optional[int] = None):
     # F depends on w alone, so fw = F(w) is carried from stage to stage and
     # from each accepted trial: F is evaluated once per point visited
     fw = F_eval(c, w, dps=dps)
-    last_good = None
     for target in targets:
         converged = False
         for _ in range(100):
@@ -540,12 +507,7 @@ def voiculescu_phi(c, z, tol: float = 1e-11, *, dps: Optional[int] = None):
             else:
                 break
         if not converged:
-            raise ContinuationError(
-                f"Newton stage failed at target {target}",
-                last_target=last_good[0] if last_good else None,
-                last_value=last_good[1] if last_good else None,
-            )
-        last_good = (target, w)
+            raise ContinuationError(f"Newton stage failed at target {target}")
     return w - z
 
 

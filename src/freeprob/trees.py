@@ -133,13 +133,15 @@ def s_via_trees(n: int) -> int:
     return sum(tree_factorial(t) for t in enumerate_trees(n))
 
 
-def _vertex_paths(t: BinaryTree | None, prefix: tuple = ()) -> list:
-    """Preorder list of root-to-vertex paths, each a tuple over {'L','R'}."""
-    if t is None:
-        return []
-    out = [prefix]
-    out += _vertex_paths(t.left, prefix + ("L",))
-    out += _vertex_paths(t.right, prefix + ("R",))
+def _vertex_paths(t: BinaryTree | None) -> list:
+    """Preorder list of root-to-vertex paths, each a tuple over {'L','R'};
+    like _preorder it keeps its own stack."""
+    out, stack = [], [(t, ())]
+    while stack:
+        node, path = stack.pop()
+        if node is not None:
+            out.append(path)
+            stack += ((node.right, path + ("R",)), (node.left, path + ("L",)))
     return out
 
 
@@ -192,9 +194,16 @@ def split_last_factor(word: str) -> tuple[str, str]:
 
 
 def tree_to_dyck(t: BinaryTree | None) -> str:
-    if t is None:
-        return ""
-    return tree_to_dyck(t.left) + "U" + tree_to_dyck(t.right) + "D"
+    """alpha(t) = alpha(left) + "U" + alpha(right) + "D", read off a stack of
+    pending subtrees and letters, so a tree of any depth is walked."""
+    letters, stack = [], [t]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            letters.append(item)
+        elif item is not None:
+            stack += ("D", item.right, "U", item.left)
+    return "".join(letters)
 
 
 def dyck_to_tree(word: str) -> BinaryTree | None:

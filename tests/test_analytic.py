@@ -278,6 +278,41 @@ def test_f_eval_fallback_sums_the_series_once(monkeypatch):
     assert abs(value * cf_eval(c, w) - 1) < 1e-12
 
 
+@pytest.mark.parametrize("evaluate", [G_eval, F_eval])
+@pytest.mark.parametrize("c", [F(-1, 2), F(0), F(1, 2), F(3)])
+def test_one_call_sums_the_series_at_most_once(monkeypatch, evaluate, c):
+    # points on every route: the trusted series, F's own quotient, the
+    # continued fraction after an untrusted series, and past the overflow guard
+    points = [0.5 + 1j, -1 - 0.5j, 2 + 0.01j, 20 + 10j, 3j, 35 + 0.5j]
+    analytic._phi_mixture_ratio(c, None)  # the z = 10i calibration, summed apart
+    sums = []
+    _counting(monkeypatch, "_phi_pair", sums)
+    for z in points:
+        before = len(sums)
+        evaluate(c, z)
+        assert len(sums) - before <= 1, (c, z)
+    assert len(sums) == (0 if c == 0 else len(points) - 1)
+
+
+# a zero of phi at c = 1/2: G is about -2e10 at 1e-10 from it
+PHI_ZERO = complex(-2.26704924216108, -2.11085150158275)
+
+
+def test_g_refuses_a_pole_of_the_series_branch():
+    with pytest.raises(analytic.PoleError) as refused:
+        G_eval(F(1, 2), PHI_ZERO, dps=30)
+    assert refused.value.args == ("evaluation too close to a pole of G",)
+    # in binary64 the series keeps too few digits there to tell
+    with pytest.raises(analytic.PrecisionError, match="cancellation too severe"):
+        G_eval(F(1, 2), PHI_ZERO)
+
+
+def test_voiculescu_refuses_a_failed_continuation():
+    with pytest.raises(ContinuationError) as refused:
+        voiculescu_phi(F(3), 0.5 + 0.3j)
+    assert refused.value.args == ("Newton stage failed at target (0.5+0.4236793116784789j)",)
+
+
 def test_voiculescu_pinned_values():
     # recorded before F values were reused: the reuse must not move a bit
     pins = {

@@ -24,6 +24,7 @@ from freeprob.trees import (
     tree_size,
     tree_to_dyck,
 )
+from freeprob.trees import _vertex_paths
 
 V = BinaryTree  # node constructor
 LEAF = V()
@@ -97,6 +98,17 @@ def test_tree_dyck_bijection():
             assert dyck_to_tree(w) == t
             words.add(w)
         assert len(words) == catalan(n)
+
+
+def test_dyck_encoding_and_vertex_paths_walk_deep_chains():
+    # 2,500 vertices, far deeper than the recursion limit
+    n = 2500
+    assert tree_to_dyck(left_chain(n)) == "UD" * n
+    assert tree_to_dyck(right_chain(n)) == "U" * n + "D" * n
+    paths = _vertex_paths(left_chain(n))
+    assert paths == [("L",) * k for k in range(n)]
+    assert _vertex_paths(right_chain(n))[-1] == ("R",) * (n - 1)
+    assert _vertex_paths(V(V(None, LEAF), LEAF)) == [(), ("L",), ("L", "R"), ("R",)]
 
 
 def test_dyck_factorial_matches_tree_factorial():

@@ -4,7 +4,9 @@ Move-to-root: states are binary tree shapes with n vertices; a uniformly
 chosen vertex is promoted to the root by repeated single rotations.
 Naimi-Trehel: states are Dyck words of length 2n; the transition matrix is
 the mu-operator adjacency matrix divided by n+1.  Both chains are
-irreducible with stationary weight 1 / (tree factorial).
+irreducible with stationary weight 1 / (tree factorial); `stationary`
+certifies that law first and then reads the communicating classes as forward
+reach sets, since a positive stationary law makes every state recurrent.
 
 States are encoded as Dyck words throughout (tree shapes via the alpha
 bijection), so the two chains share a state alphabet.  A matrix holds one
@@ -147,52 +149,19 @@ def transition_matrix(model: str, n: int) -> StochasticMatrix:
     return (nt_transition_matrix if model == "nt" else mtr_transition_matrix)(n)
 
 
-def _communicating_classes(p: StochasticMatrix) -> list[list[str]]:
-    """Classes of mutual reachability in the positive-transition digraph, each
-    sorted and listed by smallest index: Kosaraju's two searches, without
-    recursion, so linear in the edges."""
-    n = len(p.states)
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for i, row in enumerate(p.rows):
-        for j in row:
-            pred[j].append(i)
-    finished, seen = [], [False] * n  # the states in the order the first search leaves them
-    for root in range(n):
-        stack = [] if seen[root] else [(root, iter(p.rows[root]))]
-        seen[root] = True
-        while stack:
-            w = next((w for w in stack[-1][1] if not seen[w]), None)
-            if w is None:
-                finished.append(stack.pop()[0])
-            else:
-                seen[w] = True
-                stack.append((w, iter(p.rows[w])))
-    classes, placed = [], [False] * n
-    for root in reversed(finished):  # each search of the reversed digraph finds one class
-        comp = [] if placed[root] else [root]
-        placed[root] = True
-        for v in comp:  # comp grows as it is read
-            for w in pred[v]:
-                if not placed[w]:
-                    placed[w] = True
-                    comp.append(w)
-        if comp:
-            classes.append(sorted(comp))
-    return [[p.states[i] for i in comp] for comp in sorted(classes)]
-
-
 def stationary(p: StochasticMatrix) -> Distribution:
     """The tree-factorial law pi(w) = 1/w! of the chains in this module,
     certified by one exact pass of pi P = pi over the entries of the rows.
 
-    An irreducible chain has exactly one stationary law, so the pass proves
-    that pi is it.  There is no general solver: raises ChainStructureError
-    for a reducible chain, and InputError for states that are not Dyck words
-    or any other matrix whose law is not 1/w!.
+    There is no general solver: raises InputError for states that are not
+    Dyck words, or for any other matrix whose law is not 1/w!, before any
+    graph walk.  A strictly positive law that passes makes every state
+    recurrent, so reaching is mutual and each communicating class is the
+    forward reach set of its smallest state.  One walk from state 0 that
+    reaches every state shows the chain irreducible, so pi is its one
+    stationary law; otherwise raises ChainStructureError with the classes,
+    each sorted and listed by smallest index.
     """
-    classes = _communicating_classes(p)
-    if len(classes) != 1:
-        raise ChainStructureError(classes)
     scope = "stationary serves the chains on Dyck words, whose law is 1/w!"
     if not all(map(is_dyck_word, p.states)):
         raise InputError(f"the states are not all Dyck words; {scope}")
@@ -203,6 +172,20 @@ def stationary(p: StochasticMatrix) -> Distribution:
             flow[j] += weight * x
     if flow != pi or sum(pi) != 1:
         raise InputError(f"1/w! is not the stationary law of this matrix; {scope}")
+    # pi > 0 passed, so every state is recurrent: a class is a forward reach set
+    classes, placed = [], [False] * len(pi)
+    for root in range(len(pi)):
+        reach = [] if placed[root] else [root]
+        placed[root] = True
+        for v in reach:  # reach grows as it is read
+            for j in p.rows[v]:
+                if not placed[j]:
+                    placed[j] = True
+                    reach.append(j)
+        if reach:
+            classes.append([p.states[i] for i in sorted(reach)])
+    if len(classes) != 1:
+        raise ChainStructureError(classes)
     return Distribution(dict(zip(p.states, pi)))
 
 

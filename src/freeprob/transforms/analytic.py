@@ -135,6 +135,8 @@ def cf_eval(c, z, tol: float = 1e-13, *, dps: Optional[int] = None):
     w = _lift(z, mp_mod)
     if not (_im(w) > 0 or abs(w) >= 40):
         raise InputError("continued fraction needs Im z > 0 or |z| >= 40")
+    if not tol >= 0:
+        raise InputError("tol must be nonnegative")
     if c == -1:
         return 1 / w
     cval = _real(c, mp_mod)
@@ -394,9 +396,9 @@ class RiccatiResiduals:
 def riccati_residual(c, z, step: float = 1e-5, *, dps: Optional[int] = None) -> RiccatiResiduals:
     """Central-difference residuals of the Riccati equations for G and F."""
     c = mu_c_parameter(c, binary64=True)
-    if step == 0:
-        raise InputError("difference step must be nonzero")
     h = step
+    if z + h == z or z - h == z:
+        raise InputError(f"difference step {step} does not change z = {z}")
     gp = (G_eval(c, z + h, dps=dps) - G_eval(c, z - h, dps=dps)) / (2 * h)
     g = G_eval(c, z, dps=dps)
     g_res = abs(gp - (float(c) * g * g - z * g + 1))

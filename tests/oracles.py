@@ -14,7 +14,7 @@ integer triangular solve behind the six series conversions of
 `freeprob.cumulants`, `flagged_partition_sum` checks the connected and
 irreducible sums that `free_from_classical` and `boolean_from_free` compose
 from two of those conversions, `communicating_classes_by_reach` checks the
-linear strongly-connected-components pass of `freeprob.chains`,
+classes that `freeprob.chains.stationary` reads as forward reach sets,
 `bf_coproduct_by_subtraction` checks the one-rule
 charge coproduct of `freeprob.hopf`, `phi_pair_by_terms` checks the
 block-cached series kernel `_phi_pair` of `freeprob.transforms.analytic`, and

@@ -20,6 +20,7 @@ from freeprob.transforms import (
     shifted_sequence_of_mu_c,
     voiculescu_phi,
 )
+from freeprob.errors import InputError
 from freeprob.transforms import analytic
 from oracles import cf_approximant
 
@@ -98,6 +99,24 @@ def test_riccati_residual_scales_quadratically():
     coarse = riccati_residual(c, z, step=1e-3).g_form
     fine = riccati_residual(c, z, step=5e-4).g_form
     assert fine < coarse / 2.5
+
+
+@pytest.mark.parametrize(
+    "z, step, dps",
+    [(1 + 1j, 0.0, None), (1 + 1j, 1e-17, None), (1 + 1j, -1e-17, None), (1e6 + 1j, 1e-11, 30)],
+)
+def test_riccati_refuses_a_step_that_leaves_z_unchanged(z, step, dps):
+    # with z + step == z the difference quotient would read as 0
+    with pytest.raises(InputError, match="does not change z"):
+        riccati_residual(F(1, 2), z, step=step, dps=dps)
+
+
+@pytest.mark.parametrize("dps", [None, 30])
+def test_cf_refuses_a_negative_tol(dps):
+    # no approximant can agree within a negative tol, so doubling would run
+    # to the depth bound
+    with pytest.raises(InputError, match="tol must be nonnegative"):
+        cf_eval(F(1, 2), 1j, tol=-1, dps=dps)
 
 
 def test_riccati_gaussian_linear_form():

@@ -22,7 +22,7 @@ from freeprob.chains import (
     tv_distance,
 )
 from freeprob.cumulants import gaussian_shifted_sequence
-from freeprob.errors import BoundExceededError, FreeprobError
+from freeprob.errors import BoundExceededError, FreeprobError, InputError
 from freeprob.trees import (
     BinaryTree,
     dyck_factorial,
@@ -163,26 +163,69 @@ def test_return_time_sum_at_the_chain_bound():
 
 
 def test_reducible_chain_reports_classes():
-    p = StochasticMatrix(["a", "b"], [{0: F(1)}, {1: F(1)}])
+    # P = I on the two n = 2 words, both with w! = 2, passes the certificate
+    p = StochasticMatrix(["UUDD", "UDUD"], [{0: F(1)}, {1: F(1)}])
     with pytest.raises(ChainStructureError) as err:
         stationary(p)
-    assert sorted(map(tuple, err.value.classes)) == [("a",), ("b",)]
+    assert err.value.classes == [["UUDD"], ["UDUD"]]
+
+
+def _mixed_permutations(words, perms):
+    """The chain on `words` that follows one of `perms`, each equally likely."""
+    rows = [{} for _ in words]
+    for perm in perms:
+        for i, j in enumerate(perm):
+            rows[i][j] = rows[i].get(j, 0) + F(1, len(perms))
+    return StochasticMatrix(words, rows)
 
 
 def test_communicating_classes_match_reach_oracle():
     for n in range(1, 7):
         for model in ("nt", "mtr"):
             p = transition_matrix(model, n)
-            assert chains._communicating_classes(p) == communicating_classes_by_reach(p)
+            stationary(p)
+            assert communicating_classes_by_reach(p) == [p.states]
+    # chains that keep 1/w! but may be reducible: P = I, and one or two
+    # permutations, each equally likely, that move words only among words
+    # of equal w!
     rng = random.Random(2024)
-    for _ in range(200):
-        n = rng.randint(1, 12)
-        rows = []
-        for _ in range(n):
-            targets = rng.sample(range(n), rng.randint(1, min(n, 3)))
-            rows.append({j: F(1, len(targets)) for j in sorted(targets)})
-        p = StochasticMatrix([f"s{i}" for i in range(n)], rows)
-        assert chains._communicating_classes(p) == communicating_classes_by_reach(p)
+    chains_to_check = []
+    for n in range(2, 5):
+        words = nt_transition_matrix(n).states
+        chains_to_check.append(_mixed_permutations(words, [range(len(words))]))
+        groups = {}
+        for i, w in enumerate(words):
+            groups.setdefault(dyck_factorial(w), []).append(i)
+        for _ in range(20):
+            perms = []
+            for _ in range(rng.randint(1, 2)):
+                perm = list(range(len(words)))
+                for group in groups.values():
+                    for i, j in zip(group, rng.sample(group, len(group))):
+                        perm[i] = j
+                perms.append(perm)
+            chains_to_check.append(_mixed_permutations(words, perms))
+    # n = 3 has four words with w! = 6: swap the first two of them
+    chains_to_check.append(_mixed_permutations(nt_transition_matrix(3).states, [[1, 0, 2, 3, 4]]))
+    reducible = 0
+    for p in chains_to_check:
+        expected = communicating_classes_by_reach(p)
+        if len(expected) == 1:
+            assert stationary(p).weights == {w: F(1, dyck_factorial(w)) for w in p.states}
+            continue
+        reducible += 1
+        with pytest.raises(ChainStructureError) as err:
+            stationary(p)
+        assert err.value.classes == expected
+    assert reducible > 50
+
+
+def test_transient_state_is_refused_by_the_certificate():
+    # UUDD moves to UDUD for good, so UUDD is transient and 1/w! is not the law
+    p = StochasticMatrix(["UUDD", "UDUD"], [{1: F(1)}, {1: F(1)}])
+    with pytest.raises(InputError, match="1/w! is not the stationary law") as err:
+        stationary(p)
+    assert not isinstance(err.value, ChainStructureError)
 
 
 @pytest.mark.parametrize(

@@ -132,8 +132,10 @@ HOSTILE = {
     ],
     "hopf-laws-negative": ["hopf", "laws", "--max-size", "-1"],
     "hopf-hilbert-negative": ["hopf", "hilbert", "--max", "-1"],
+    # a step of 1e290 still moves z; the default 1e-5 would not, and is refused
     "riccati-nan-far-out": [
-        "transform", "--op", "riccati", "--grid=1e300:1e300:1,1e300:1e300:1", "--c", "0"
+        "transform", "--op", "riccati", "--grid=1e300:1e300:1,1e300:1e300:1", "--c", "0",
+        "--step", "1e290",
     ],
     "riccati-inf-at-the-pole": [
         "transform", "--c=-1", "--op", "riccati", "--grid=0:0:1,1e-300:1e-300:1", "--format", "csv"

@@ -338,7 +338,8 @@ def _cmd_hopf(args) -> int:
     elif args.action == "hilbert":
         if args.max < 0:
             raise InputError("--max must be nonnegative")
-        dims = [hopf_mod.hilbert_dimension(n) for n in range(args.max + 1)]
+        # from the largest degree down, so the enumeration bound refuses first
+        dims = [hopf_mod.hilbert_dimension(n) for n in range(args.max, -1, -1)][::-1]
         _emit(args, dims, list(enumerate(dims)), ("n", "dimension"))
     elif args.action == "laws":
         results = {

@@ -397,6 +397,8 @@ def riccati_residual(c, z, step: float = 1e-5, *, dps: Optional[int] = None) -> 
     """Central-difference residuals of the Riccati equations for G and F."""
     c = mu_c_parameter(c, binary64=True)
     h = step
+    if not math.isfinite(h):
+        raise InputError(f"difference step {step} is not finite")
     if z + h == z or z - h == z:
         raise InputError(f"difference step {step} does not change z = {z}")
     gp = (G_eval(c, z + h, dps=dps) - G_eval(c, z - h, dps=dps)) / (2 * h)
@@ -475,7 +477,7 @@ def voiculescu_phi(c, z, tol: float = 1e-11, *, dps: Optional[int] = None):
     z = complex(z)
     if z.imag <= 0:
         raise InputError("the inverse transform is defined on the upper half-plane")
-    if tol < 0:
+    if not tol >= 0:
         raise InputError("tol must be nonnegative")
     t = 10.0 * (1.0 + abs(z))
     targets = []

@@ -5,11 +5,14 @@ A tree is either None (empty) or a node with two subtrees; the vertex count
 is the number of nodes.  Dyck words are strings over {U, D} with every prefix
 balance nonnegative; the bijection alpha sends a tree with subtrees (l, r) to
 alpha(l) + "U" + alpha(r) + "D".  The tree factorial t! = n * l! * r!
-transports along alpha to (u U v D)! = n * u! * v!.
+transports along alpha to (u U v D)! = n * u! * v!.  nu and mu are one stack
+walk over the prime factors of a word at every depth, one term per vertex;
+the recursion it unrolls is the test oracle mu_by_last_factor.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BoundExceededError, InputError
@@ -36,11 +39,8 @@ __all__ = [
 MAX_TREE_ENUM = 12
 MAX_DYCK_ENUM = 8
 # Longest Dyck word the word operations accept, checked before any work.
-# Depth binds, not time: mu and nu (alone here) recurse one level per factor,
-# up to two frames a level, and from a shallow stack mu first exceeds
-# Python's default limit of 1000 frames at U^497 D^497.  At 600 letters the
-# slowest word measured, U^300 D^300, takes 21 ms for mu (2-core machine)
-# and leaves callers about 400 frames.
+# No word operation recurses, so depth does not bind: at 600 letters mu takes
+# 4-7 ms on the slowest word measured, U^300 D^300 (2-core machine).
 MAX_DYCK_LENGTH = 600
 
 
@@ -181,18 +181,6 @@ def _require_dyck(word: str) -> None:
         raise DyckParseError(f"not a Dyck word: {word!r}")
 
 
-def split_last_factor(word: str) -> tuple[str, str]:
-    """Split a nonempty Dyck word as u + 'U' + v + 'D' where the final letter
-    is matched with the opener after the last return to the axis."""
-    depth = 0
-    last_zero = 0
-    for i, ch in enumerate(word[:-1]):
-        depth += 1 if ch == "U" else -1
-        if depth == 0:
-            last_zero = i + 1
-    return word[:last_zero], word[last_zero + 1 : -1]
-
-
 def tree_to_dyck(t: BinaryTree | None) -> str:
     """alpha(t) = alpha(left) + "U" + alpha(right) + "D", read off a stack of
     pending subtrees and letters, so a tree of any depth is walked."""
@@ -252,31 +240,32 @@ def owedge(left_word: str, right_word: str) -> str:
     return left_word[:-1] + right_word + "D"
 
 
-def _nu(word: str) -> dict[str, int]:
-    acc: dict[str, int] = {}
-    if not word:
-        return acc
-    u, v = split_last_factor(word)
-    right = "U" + v + "D"
-    for term, coef in _nu(u).items():
-        key = term[:-1] + right + "D"  # term owedge right, both Dyck words already
-        acc[key] = acc.get(key, 0) + coef
-    for term, coef in _mu(v).items():
-        key = term + "U" + u + "D"
-        acc[key] = acc.get(key, 0) + coef
-    return acc
+def _nu_terms(word: str) -> Counter:
+    """nu(w), unrolling nu(uUvD) = nu(u) owedge (UvD) + mu(v) UuD into a sum
+    over the prime factors U r D of w = p U r D s of mu(r) U p s D.
 
-
-def _mu(word: str) -> dict[str, int]:
-    acc = _nu(word)
-    acc[word] = acc.get(word, 0) + 1
-    return acc
+    The stack holds pairs (x, tail) standing for nu(x) tail, from (w, ""); each
+    factor of a popped x emits the term r of mu(r) = r + nu(r) and pushes
+    (r, "U" + p + s + "D" + tail) for the rest: one term per vertex of w."""
+    terms: Counter = Counter()
+    stack = [(word, "")]
+    while stack:
+        x, tail = stack.pop()
+        depth = start = 0
+        for i, ch in enumerate(x):
+            depth += 1 if ch == "U" else -1
+            if depth == 0:  # x[start:i + 1] is the factor U r D
+                r, rest = x[start + 1 : i], "U" + x[:start] + x[i + 1 :] + "D" + tail
+                terms[r + rest] += 1
+                stack.append((r, rest))
+                start = i + 1
+    return terms
 
 
 def nu_operator(word: str) -> dict[str, int]:
     """nu(empty) = 0 and nu(uUvD) = nu(u) owedge (UvD) + mu(v) UuD."""
     _require_dyck(word)
-    return dict(sorted(_nu(word).items()))
+    return dict(sorted(_nu_terms(word).items()))
 
 
 def mu_operator(word: str) -> dict[str, int]:
@@ -286,7 +275,9 @@ def mu_operator(word: str) -> dict[str, int]:
     at most 600 letters.
     """
     _require_dyck(word)
-    return dict(sorted(_mu(word).items()))
+    terms = _nu_terms(word)
+    terms[word] += 1
+    return dict(sorted(terms.items()))
 
 
 def _mu_rows(n: int) -> tuple[list[str], list[dict[int, int]]]:
@@ -295,7 +286,7 @@ def _mu_rows(n: int) -> tuple[list[str], list[dict[int, int]]]:
     index; over n+1 they are the Naimi-Trehel transition rows.  Bound: n <= 8."""
     words = enumerate_dyck_words(n)
     index = {w: i for i, w in enumerate(words)}
-    return words, [dict(sorted((index[v], c) for v, c in _mu(w).items())) for w in words]
+    return words, [dict(sorted((index[v], c) for v, c in mu_operator(w).items())) for w in words]
 
 
 def nt_adjacency(n: int) -> tuple[list[str], list[list[int]]]:

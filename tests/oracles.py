@@ -17,9 +17,13 @@ from two of those conversions, `communicating_classes_by_reach` checks the
 classes that `freeprob.chains.stationary` reads as forward reach sets,
 `bf_coproduct_by_subtraction` checks the one-rule
 charge coproduct of `freeprob.hopf`, `phi_pair_by_terms` checks the
-block-cached series kernel `_phi_pair` of `freeprob.transforms.analytic`, and
+block-cached series kernel `_phi_pair` of `freeprob.transforms.analytic`,
 `cf_approximant` is one fixed-depth approximant of the continued fraction
-that `cf_eval` deepens until it settles.
+that `cf_eval` deepens until it settles, and `g_by_parabolic_cylinder` is G
+in closed form, which checks `G_eval`, `F_eval` and `cf_eval`.
+`mu_by_last_factor` keeps the defining recursion of mu and nu, split at the
+last factor by `split_last_factor`, and checks the one stack walk over the
+prime factors that `freeprob.trees` unrolls it into.
 """
 
 import math
@@ -27,6 +31,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
+
+import mpmath
 
 from freeprob.chains import Distribution, StochasticMatrix
 from freeprob.errors import BoundExceededError
@@ -381,3 +387,55 @@ def cf_approximant(c: float, z: complex, depth: int) -> complex:
     for k in range(depth, 0, -1):
         g = (c + k) / (z - g)
     return 1 / (z - g)
+
+
+def split_last_factor(word: str) -> tuple[str, str]:
+    """Split a nonempty Dyck word as u + 'U' + v + 'D' where the final letter
+    is matched with the opener after the last return to the axis."""
+    depth = 0
+    last_zero = 0
+    for i, ch in enumerate(word[:-1]):
+        depth += 1 if ch == "U" else -1
+        if depth == 0:
+            last_zero = i + 1
+    return word[:last_zero], word[last_zero + 1 : -1]
+
+
+def _nu_by_last_factor(word: str) -> Counter:
+    if not word:
+        return Counter()
+    u, v = split_last_factor(word)
+    right = "U" + v + "D"
+    acc: Counter = Counter()
+    for term, coef in _nu_by_last_factor(u).items():
+        acc[term[:-1] + right + "D"] += coef  # term owedge right
+    for term, coef in mu_by_last_factor(v).items():
+        acc[term + "U" + u + "D"] += coef
+    return acc
+
+
+def mu_by_last_factor(word: str) -> Counter:
+    """mu(w) = w + nu(w) by the defining recursion
+    nu(uUvD) = nu(u) owedge (UvD) + mu(v) UuD, split at the last factor.
+    It recurses one level per factor, up to two frames a level."""
+    acc = _nu_by_last_factor(word)
+    acc[word] += 1
+    return acc
+
+
+def g_by_parabolic_cylinder(c, z, dps: int):
+    """G of mu_c in closed form, -i D_{-c-1}(-iz) / D_{-c}(-iz) at dps digits,
+    with D_nu the parabolic cylinder function `mpmath.pcfd`.
+
+    phi(z) = exp(-z^2/4) D_{-c}(-iz) is the solution of
+    phi'' + z phi' + c phi = 0 that decays in the upper half-plane, and
+    D_nu'(x) = nu D_{nu-1}(x) - (x/2) D_nu(x) gives
+    phi' = i c exp(-z^2/4) D_{-c-1}(-iz), so G = -phi'/(c phi) is the
+    quotient above (Askey and Wimp, Proc. Roy. Soc. Edinburgh 96A (1984)).
+    D_nu is entire, so the quotient continues G below the real axis.
+    """
+    c = Fraction(c)
+    with mpmath.workdps(dps):
+        x = -1j * mpmath.mpc(z)
+        nu = -mpmath.mpf(c.numerator) / c.denominator
+        return -1j * mpmath.pcfd(nu - 1, x) / mpmath.pcfd(nu, x)

@@ -111,6 +111,26 @@ def test_riccati_refuses_a_step_that_leaves_z_unchanged(z, step, dps):
         riccati_residual(F(1, 2), z, step=step, dps=dps)
 
 
+def _no_evaluation(*args, **kwargs):
+    raise AssertionError("evaluated before the argument check")
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
+def test_riccati_refuses_a_step_that_is_not_finite(monkeypatch, step):
+    # z + nan is no point, and z + inf sends the continued fraction to its
+    # depth bound
+    monkeypatch.setattr(analytic, "G_eval", _no_evaluation)
+    with pytest.raises(InputError, match="not finite"):
+        riccati_residual(F(1, 2), 1 + 1j, step=step)
+
+
+def test_phi_refuses_a_nan_tol(monkeypatch):
+    # no residual is within a NaN tol, so no stage could converge
+    monkeypatch.setattr(analytic, "F_eval", _no_evaluation)
+    with pytest.raises(InputError, match="tol must be nonnegative"):
+        voiculescu_phi(F(1, 2), 0.5 + 1j, tol=math.nan)
+
+
 @pytest.mark.parametrize("dps", [None, 30])
 def test_cf_refuses_a_negative_tol(dps):
     # no approximant can agree within a negative tol, so doubling would run

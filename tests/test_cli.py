@@ -23,7 +23,8 @@ from freeprob.cumulants import (
     MAX_SERIES_ORDER,
     moments_from_classical,
 )
-from freeprob.hopf import MAX_ANTIPODE_SIZE
+from freeprob import hopf
+from freeprob.hopf import MAX_ANTIPODE_SIZE, MAX_ORDERED_ENUM
 
 
 def run(capsys, *argv):
@@ -111,6 +112,23 @@ def test_hopf_hilbert(capsys):
     code, doc, _ = run_json(capsys, "hopf", "hilbert", "--max", "3")
     assert code == 0
     assert doc["result"] == [1, 1, 4, 27]
+
+
+@pytest.mark.parametrize("degree", [MAX_ORDERED_ENUM + 1, 100000])
+def test_hopf_hilbert_refuses_before_enumerating(capsys, monkeypatch, degree):
+    shapes, enumerate_trees = [], hopf.enumerate_trees
+
+    def counted(n):
+        shapes.append(n)
+        return enumerate_trees(n)
+
+    monkeypatch.setattr(hopf, "enumerate_trees", counted)
+    code, out, err = run(capsys, "hopf", "hilbert", "--max", str(degree))
+    assert (code, out, shapes) == (1, "", [])
+    assert err == (
+        '{"error": {"message": "ordered-tree enumeration bound is n <= 7", '
+        '"type": "BoundExceededError"}}\n'
+    )
 
 
 def test_hopf_laws(capsys):

@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 
 import pytest
 
@@ -19,12 +21,12 @@ from freeprob.trees import (
     nu_operator,
     owedge,
     s_via_trees,
-    split_last_factor,
     tree_factorial,
     tree_size,
     tree_to_dyck,
 )
-from freeprob.trees import _vertex_paths
+from freeprob.trees import _mu_rows, _nu_terms, _vertex_paths
+from oracles import mu_by_last_factor, split_last_factor
 
 V = BinaryTree  # node constructor
 LEAF = V()
@@ -162,7 +164,7 @@ def test_owedge_rejects_non_dyck_operands():
 
 
 def test_dyck_word_bound():
-    # the longest admitted words recurse deepest with the tallest and the flattest shape
+    # the longest admitted words, in the tallest and the flattest shape
     n = MAX_DYCK_LENGTH // 2
     tall, flat = "U" * n + "D" * n, "UD" * n
     assert sum(mu_operator(tall).values()) == sum(mu_operator(flat).values()) == n + 1
@@ -206,3 +208,40 @@ def test_nt_adjacency_small():
         words, a = nt_adjacency(n)
         for row in a:
             assert sum(row) == n + 1
+
+
+def _random_dyck_word(rng, n):
+    """A Dyck word of 2n letters, each U taken with probability 1/2 while
+    both letters are allowed."""
+    letters, opened, depth = [], 0, 0
+    while len(letters) < 2 * n:
+        up = opened < n and (depth == 0 or rng.random() < 0.5)
+        letters.append("U" if up else "D")
+        opened += up
+        depth += 1 if up else -1
+    return "".join(letters)
+
+
+def test_mu_matches_last_factor_recursion():
+    n_max = MAX_DYCK_LENGTH // 2
+    for n in range(0, 9):
+        words, rows = _mu_rows(n)
+        index = {w: i for i, w in enumerate(words)}
+        for w, row in zip(words, rows):
+            expected = mu_by_last_factor(w)
+            assert mu_operator(w) == expected
+            assert nu_operator(w) == expected - Counter([w])
+            assert row == {index[v]: coef for v, coef in expected.items()}
+    rng = random.Random(27)
+    longer = [_random_dyck_word(rng, rng.randint(9, n_max)) for _ in range(60)]
+    for w in longer + ["U" * n_max + "D" * n_max, "UD" * n_max]:
+        expected = mu_by_last_factor(w)
+        assert mu_operator(w) == expected
+        assert nu_operator(w) == expected - Counter([w])
+
+
+@pytest.mark.parametrize("word", ["U" * 2500 + "D" * 2500, "UD" * 2500], ids=["tall", "flat"])
+def test_nu_walks_words_past_the_recursion_limit(word):
+    terms = _nu_terms(word)
+    assert sum(terms.values()) == 2500
+    assert all(len(term) == len(word) and term.count("U") == 2500 for term in terms)

@@ -19,7 +19,7 @@ suffers cancellation that grows with min(|Re z|, |Im z|), so every series
 evaluation tracks its own cancellation ratio and G_eval falls back to the
 continued fraction (or demands extended precision) when too many digits are
 lost.  Default precision is binary64; pass the keyword dps = N to run every
-step of one public call on mpmath at N digits.
+step of one public call on a private mpmath context at N digits.
 """
 
 from __future__ import annotations
@@ -65,48 +65,44 @@ class ContinuationError(FreeprobError, ArithmeticError):
     """A Newton continuation stage of the inverse transform failed."""
 
 
-def _scoped(fn):
-    """Run the wrapped function inside mpmath.workdps(dps) when dps is set.
-
-    Each public evaluator carries it and takes dps by keyword only, so the
-    precision is entered once per call and holds for all of its arithmetic.
-    """
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        dps = kwargs.get("dps")
-        if dps is None:
-            return fn(*args, **kwargs)
-        import mpmath
-
-        with mpmath.workdps(dps):
-            return fn(*args, **kwargs)
-
-    return wrapper
-
-
+# a context holds about 44 KB and takes about 3 ms to make; a CLI run uses
+# one precision, a library caller may alternate a few
+@functools.lru_cache(maxsize=8)
 def _mp(dps: Optional[int]):
+    """A private mpmath context at dps digits, or None for binary64.  Every
+    mpf and mpc of a dps call belongs to it, so each operation runs at dps
+    digits and mpmath's global precision is neither read nor set."""
     if dps is None:
         return None
     import mpmath
 
-    return mpmath
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    return ctx
 
 
-def _lift(z, mp_mod):
-    return complex(z) if mp_mod is None else mp_mod.mpc(z)
+def _lift(z, ctx):
+    return complex(z) if ctx is None else ctx.mpc(z)
 
 
-def _real(value, mp_mod):
-    if mp_mod is None:
+def _real(value, ctx):
+    if ctx is None:
         return float(value)
     if isinstance(value, Fraction):
-        return mp_mod.mpf(value.numerator) / mp_mod.mpf(value.denominator)
-    return mp_mod.mpf(value)
+        return ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
+    return ctx.mpf(value)
 
 
 def _im(z) -> float:
     return float(z.imag)
+
+
+def _check_tol(tol) -> None:
+    """Refuse a tol no residual can meet (negative, NaN) or every one meets (inf)."""
+    if not tol >= 0:
+        raise InputError("tol must be nonnegative")
+    if tol == math.inf:
+        raise InputError("tol must be finite")
 
 
 # digits available at the working precision
@@ -120,7 +116,6 @@ CF_MIN_IM = 0.02
 CF_MAX_DEPTH = 1 << 17
 
 
-@_scoped
 def cf_eval(c, z, tol: float = 1e-13, *, dps: Optional[int] = None):
     """Backward-evaluated continued fraction for G with numerators c+k.
 
@@ -131,15 +126,14 @@ def cf_eval(c, z, tol: float = 1e-13, *, dps: Optional[int] = None):
     rejected.
     """
     c = mu_c_parameter(c, binary64=True)
-    mp_mod = _mp(dps)
-    w = _lift(z, mp_mod)
+    ctx = _mp(dps)
+    w = _lift(z, ctx)
     if not (_im(w) > 0 or abs(w) >= 40):
         raise InputError("continued fraction needs Im z > 0 or |z| >= 40")
-    if not tol >= 0:
-        raise InputError("tol must be nonnegative")
+    _check_tol(tol)
     if c == -1:
         return 1 / w
-    cval = _real(c, mp_mod)
+    cval = _real(c, ctx)
 
     def approximant(d: int):
         g = 0 * w
@@ -175,12 +169,12 @@ SERIES_BLOCK = 64  # divides SERIES_MAX_TERMS
 # a block holds 14 KB in binary64 and 37 KB at dps 30; one pass of the
 # tree_transform benchmark fills 15 blocks
 @functools.lru_cache(maxsize=64)
-def _series_block(c, prec: Optional[int], start: int) -> tuple:
+def _series_block(c, dps: Optional[int], start: int) -> tuple:
     """Coefficients of terms start+1 .. start+SERIES_BLOCK of _phi_pair at
-    binary precision prec (None for binary64), one tuple per term k:
+    dps digits (None for binary64), one tuple per term k:
     (even ratio, odd ratio, 2k, 2k + 1, k).  The ratios are the recursion's
     own expressions, so a cached term multiplies exactly as a fresh one."""
-    cval = _real(c, _mp(prec))
+    cval = _real(c, _mp(dps))
     return tuple(
         (
             -(cval + 2 * k) / ((2 * k + 1) * (2 * k + 2)),
@@ -202,14 +196,11 @@ def _phi_pair(c, z, dps: Optional[int] = None):
     stops being finite never settles and can never be trusted: it is returned
     at the end of its block with scale inf, which every caller refuses.
     """
-    mp_mod = _mp(dps)
-    w = _lift(z, mp_mod)
+    ctx = _mp(dps)
+    w = _lift(z, ctx)
     one = 1 + 0 * w
     if abs(w) == 0:
         return one, 0 * w, 0 * w, one, 1.0
-    # key the blocks on the binary precision their arithmetic runs at, which
-    # dps alone does not fix (a caller may be outside mpmath.workdps(dps))
-    prec = None if mp_mod is None else mp_mod.mp.prec
     eps = 10.0 ** (-(_digits(dps) + 3))
     w2 = w * w
     even_term = one  # e_k z^{2k}
@@ -220,7 +211,7 @@ def _phi_pair(c, z, dps: Optional[int] = None):
     hump = float(abs(w2)) / 2
     quiet = 0
     for start in range(0, SERIES_MAX_TERMS, SERIES_BLOCK):
-        for even_ratio, odd_ratio, even_power, odd_power, k in _series_block(c, prec, start):
+        for even_ratio, odd_ratio, even_power, odd_power, k in _series_block(c, dps, start):
             even_term = even_term * w2 * even_ratio
             odd_term = odd_term * w2 * odd_ratio
             pe += even_term
@@ -254,25 +245,25 @@ def _phi_pair(c, z, dps: Optional[int] = None):
 def _phi_mixture_ratio(c: Fraction, dps: Optional[int]):
     """Ratio rho with phi = phi_e + rho * phi_o the physical (decaying) branch,
     pinned by matching -phi'/(c phi) to the continued fraction at z = 10i."""
-    mp_mod = _mp(dps)
+    ctx = _mp(dps)
     z0 = 10j
     g0 = cf_eval(c, z0, tol=10.0 ** (-(_digits(dps) - 1)), dps=dps)
     pe, dpe, po, dpo, _ = _phi_pair(c, z0, dps=dps)
-    cval = _real(c, mp_mod)
+    cval = _real(c, ctx)
     return -(dpe + cval * g0 * pe) / (dpo + cval * g0 * po)
 
 
 def _gauss_G(z, dps: Optional[int] = None):
     """(G(z), cancellation ratio) for the Gaussian closed form
     exp(-z^2/2) (-i sqrt(pi/2) + E(z)), E(z) = sum z^{2k+1}/((2k+1) 2^k k!)."""
-    mp_mod = _mp(dps)
-    w = _lift(z, mp_mod)
-    if mp_mod is None:
+    ctx = _mp(dps)
+    w = _lift(z, ctx)
+    if ctx is None:
         const = -1j * math.sqrt(math.pi / 2)
         expf = cmath.exp
     else:
-        const = -1j * mp_mod.sqrt(mp_mod.pi / 2)
-        expf = mp_mod.exp
+        const = -1j * ctx.sqrt(ctx.pi / 2)
+        expf = ctx.exp
     eps = 10.0 ** (-(_digits(dps) + 3))
     if abs(w) == 0:
         return const, 1.0
@@ -315,7 +306,6 @@ def _series_trusted(cancel: float, w, dps: Optional[int]) -> bool:
     return cancel <= prefer or (cancel <= floor and not _cf_applies(w))
 
 
-@_scoped
 def G_eval(c, z, *, dps: Optional[int] = None):
     """Cauchy transform of the measure with Jacobi numerators c+1, c+2, ...
 
@@ -328,7 +318,6 @@ def G_eval(c, z, *, dps: Optional[int] = None):
     return _routed(mu_c_parameter(c, binary64=True), z, dps, reciprocal=False)
 
 
-@_scoped
 def F_eval(c, z, *, dps: Optional[int] = None):
     """Reciprocal transform F = 1/G, via -c phi / phi' on the series branch;
     where that quotient loses too many digits, 1/G by G_eval's routes."""
@@ -344,8 +333,8 @@ def _routed(c: Fraction, z, dps: Optional[int], reciprocal: bool):
     phi, so a huge trusted value is a genuine pole (c = 0 has none: its
     continuation merely grows below the axis).  Otherwise the continued
     fraction serves where it applies, and nothing does elsewhere."""
-    mp_mod = _mp(dps)
-    w = _lift(z, mp_mod)
+    ctx = _mp(dps)
+    w = _lift(z, ctx)
     if c == -1:
         if reciprocal:
             return w
@@ -363,7 +352,7 @@ def _routed(c: Fraction, z, dps: Optional[int], reciprocal: bool):
             dphi = dpe + rho * dpo
             # bounds the magnitudes summed, so it measures cancellation
             mix_scale = max(float(scale), float(abs(rho) * scale))
-            cval = _real(c, mp_mod)
+            cval = _real(c, ctx)
             if reciprocal and abs(dphi) > 0 and _series_trusted(mix_scale / float(abs(dphi)), w, dps):
                 return 0 * w if abs(phi) == 0 else -cval * phi / dphi
             if abs(phi) == 0:
@@ -392,7 +381,6 @@ class RiccatiResiduals:
     f_form: float  # |F' - (-F^2 + z F - c)|
 
 
-@_scoped
 def riccati_residual(c, z, step: float = 1e-5, *, dps: Optional[int] = None) -> RiccatiResiduals:
     """Central-difference residuals of the Riccati equations for G and F."""
     c = mu_c_parameter(c, binary64=True)
@@ -410,7 +398,6 @@ def riccati_residual(c, z, step: float = 1e-5, *, dps: Optional[int] = None) -> 
     return RiccatiResiduals(float(g_res), float(f_res))
 
 
-@_scoped
 def decomposition_residual(c, z, *, dps: Optional[int] = None) -> float:
     """|G_{c+1}(z) - (z - F_c(z)) / (c+1)| with the two sides evaluated by
     independent routes (continued fraction vs entire series).
@@ -427,20 +414,17 @@ def decomposition_residual(c, z, *, dps: Optional[int] = None) -> float:
     return float(abs(lhs - rhs))
 
 
-@_scoped
 def dilation_residual(c, z, *, dps: Optional[int] = None) -> float:
     """Residual of the variance-one dilation identity
-    F_c(z sqrt(c+1)) / sqrt(c+1) = z - sqrt(c+1) G_{c+1}(z sqrt(c+1))."""
+    F_c(z sqrt(c+1)) / sqrt(c+1) = z - sqrt(c+1) G_{c+1}(z sqrt(c+1)), which
+    is sqrt(c+1) times the decomposition residual at w = z sqrt(c+1)."""
     c = mu_c_parameter(c, binary64=True)
     if c == -1:
         raise InputError("dilation identity needs c > -1")
     root = math.sqrt(float(c) + 1)
-    lhs = F_eval(c, z * root, dps=dps) / root
-    rhs = z - root * cf_eval(c + 1, z * root, dps=dps)
-    return float(abs(lhs - rhs))
+    return root * decomposition_residual(c, z * root, dps=dps)
 
 
-@_scoped
 def density_eval(c, u: float, eps: float = 1e-6, richardson: bool = False, *,
                  dps: Optional[int] = None) -> float:
     """Density at u via the boundary value -(1/pi) Im G(u + i eps).
@@ -463,7 +447,6 @@ def density_eval(c, u: float, eps: float = 1e-6, richardson: bool = False, *,
 # ------------------------------------------------------------ inverse transform
 
 
-@_scoped
 def voiculescu_phi(c, z, tol: float = 1e-11, *, dps: Optional[int] = None):
     """phi(z) = F^{-1}(z) - z by damped Newton with downward continuation.
 
@@ -477,8 +460,7 @@ def voiculescu_phi(c, z, tol: float = 1e-11, *, dps: Optional[int] = None):
     z = complex(z)
     if z.imag <= 0:
         raise InputError("the inverse transform is defined on the upper half-plane")
-    if not tol >= 0:
-        raise InputError("tol must be nonnegative")
+    _check_tol(tol)
     t = 10.0 * (1.0 + abs(z))
     targets = []
     while t > tol:

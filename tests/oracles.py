@@ -340,8 +340,6 @@ def bf_coproduct_by_subtraction(t) -> Counter:
 def phi_pair_by_terms(c, z, dps=None):
     """(phi_e, phi_e', phi_o, phi_o', scale) of phi'' + z phi' + c phi = 0,
     each term's ratios and powers computed afresh as the term is summed.
-
-    With dps set, call it inside mpmath.workdps(dps), as `_phi_pair` is.
     """
     mp_mod = _mp(dps)
     w = _lift(z, mp_mod)
@@ -439,3 +437,17 @@ def g_by_parabolic_cylinder(c, z, dps: int):
         x = -1j * mpmath.mpc(z)
         nu = -mpmath.mpf(c.numerator) / c.denominator
         return -1j * mpmath.pcfd(nu - 1, x) / mpmath.pcfd(nu, x)
+
+
+def density_by_parabolic_cylinder(c, u, dps: int):
+    """Density of mu_c at real u in closed form,
+    1 / (sqrt(2 pi) Gamma(c+1) |D_{-c}(iu)|^2) at dps digits, for c > -1.
+
+    It is the boundary value -(1/pi) Im G(u + i0) of the quotient in
+    `g_by_parabolic_cylinder` (Askey and Wimp, as above); at c = 0 it is the
+    standard Gaussian density.
+    """
+    c = Fraction(c)
+    with mpmath.workdps(dps):
+        cval = mpmath.mpf(c.numerator) / c.denominator
+        return 1 / (mpmath.sqrt(2 * mpmath.pi) * mpmath.gamma(cval + 1) * abs(mpmath.pcfd(-cval, 1j * u)) ** 2)

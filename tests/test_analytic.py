@@ -139,6 +139,22 @@ def test_cf_refuses_a_negative_tol(dps):
         cf_eval(F(1, 2), 1j, tol=-1, dps=dps)
 
 
+def test_phi_refuses_an_infinite_tol(monkeypatch):
+    # every residual is within an infinite tol, so the continuation would
+    # have no stage and phi would read 0
+    monkeypatch.setattr(analytic, "F_eval", _no_evaluation)
+    with pytest.raises(InputError, match="tol must be finite"):
+        voiculescu_phi(F(-1, 2), 0.3 + 1j, tol=math.inf)
+
+
+@pytest.mark.parametrize("dps", [None, 30])
+def test_cf_refuses_an_infinite_tol(dps):
+    # the first two approximants agree within an infinite tol at any depth,
+    # so the shallowest one (-1.02-2.13i where G is 0.73-1.66i) would return
+    with pytest.raises(InputError, match="tol must be finite"):
+        cf_eval(F(-1, 2), 0.3 + 0.05j, tol=math.inf, dps=dps)
+
+
 def test_riccati_gaussian_linear_form():
     # at c = 0 the equation degenerates to G' = -zG + 1
     z = 2j
@@ -368,9 +384,10 @@ def test_voiculescu_pinned_values():
     )
     # at dps=30 every step of the call runs at 30 digits (the real part
     # agrees with the tol=1e-22 value 0.0565334833019617714); the pin
-    # 0.056533483301961784 recorded a Newton loop that ran at 53 bits
+    # 0.056533483301961784 recorded a Newton loop that ran at 53 bits.  The
+    # value keeps its 30-digit context, so its repr shows every digit
     assert repr(voiculescu_phi(F(-1, 2), 0.3 + 1j, dps=30)) == (
-        "mpc(real='0.056533483301961771', imag='-0.32901695661715613')"
+        "mpc(real='0.0565334833019617714077684860389969', imag='-0.329016956617156131451433187412556')"
     )
 
 
@@ -439,6 +456,63 @@ def test_f_trajectory_requires_open_interval():
         f_trajectory(F(0))
     with pytest.raises(ValueError):
         f_trajectory(F(-1))
+
+
+def test_dps_calls_leave_the_global_precision_alone(monkeypatch):
+    import mpmath
+
+    # each dps call computes on a private context: the evaluators it reaches
+    # see mpmath's global precision as the caller left it
+    seen = []
+    for name in ("cf_eval", "G_eval", "F_eval"):
+        inner = getattr(analytic, name)
+
+        def spy(*args, inner=inner, **kwargs):
+            seen.append(mpmath.mp.prec)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, name, spy)
+    # contexts made afresh, so making one is watched too
+    analytic._mp.cache_clear()
+    c, z = F(1, 2), 1 + 1j
+    with mpmath.workprec(60):
+        decomposition_residual(c, z, dps=30)
+        dilation_residual(c, z, dps=30)
+        riccati_residual(c, z, dps=30)
+        density_eval(c, 0.5, eps=0.1, dps=30)
+        voiculescu_phi(F(-1, 2), z, dps=30)
+        assert mpmath.mp.prec == 60
+    assert len(seen) > 5 and set(seen) == {60}
+
+
+def test_dps_values_keep_their_precision():
+    # arithmetic on a returned value runs at its own context's precision,
+    # so adding 0 does not round it to binary64
+    g = G_eval(F(1, 2), 1 + 1j, dps=50)
+    assert g + 0 == g
+    assert g.context.prec > 53
+
+
+def test_dps_values_do_not_depend_on_the_caller_precision():
+    import mpmath
+
+    def bits():
+        c, z = F(1, 2), 1 + 1j
+        return [
+            G_eval(c, z, dps=30)._mpc_,
+            F_eval(c, 2 - 0.5j, dps=30)._mpc_,
+            cf_eval(c, z, dps=30)._mpc_,
+            voiculescu_phi(F(-1, 2), z, dps=30)._mpc_,
+            density_eval(c, 0.5, eps=0.1, dps=30),
+        ]
+
+    plain = bits()
+    for dps in (80, 5):
+        # a fresh block and mixture cache, so nothing is served from the first run
+        analytic._series_block.cache_clear()
+        analytic._phi_mixture_ratio.cache_clear()
+        with mpmath.workdps(dps):
+            assert bits() == plain, dps
 
 
 def test_extended_precision_route():

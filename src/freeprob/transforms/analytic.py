@@ -381,14 +381,29 @@ class RiccatiResiduals:
     f_form: float  # |F' - (-F^2 + z F - c)|
 
 
+# the quotients divide by 2 * step, so the binary64 points z + step and
+# z - step must lie that far apart to within this relative error
+STEP_SPACING_RTOL = 1e-6
+
+
 def riccati_residual(c, z, step: float = 1e-5, *, dps: Optional[int] = None) -> RiccatiResiduals:
-    """Central-difference residuals of the Riccati equations for G and F."""
+    """Central-difference residuals of the Riccati equations for G and F.
+
+    Refuses a step that is not finite, that leaves z unchanged, or whose
+    rounded spacing (z + step) - (z - step) differs from 2 * step by more
+    than STEP_SPACING_RTOL relative."""
     c = mu_c_parameter(c, binary64=True)
     h = step
     if not math.isfinite(h):
         raise InputError(f"difference step {step} is not finite")
     if z + h == z or z - h == z:
         raise InputError(f"difference step {step} does not change z = {z}")
+    spacing = (z + h) - (z - h)
+    if abs(spacing - 2 * h) > STEP_SPACING_RTOL * abs(2 * h):
+        raise InputError(
+            f"difference step {step} is too fine at z = {z}: z + step and z - step "
+            f"are {spacing.real} apart, not {2 * h}"
+        )
     gp = (G_eval(c, z + h, dps=dps) - G_eval(c, z - h, dps=dps)) / (2 * h)
     g = G_eval(c, z, dps=dps)
     g_res = abs(gp - (float(c) * g * g - z * g + 1))
@@ -455,12 +470,12 @@ def voiculescu_phi(c, z, tol: float = 1e-11, *, dps: Optional[int] = None):
     ContinuationError if a stage fails.
     """
     c = mu_c_parameter(c, binary64=True)
-    if c == -1:
-        return 0j
     z = complex(z)
     if z.imag <= 0:
         raise InputError("the inverse transform is defined on the upper half-plane")
     _check_tol(tol)
+    if c == -1:
+        return 0j
     t = 10.0 * (1.0 + abs(z))
     targets = []
     while t > tol:

@@ -36,8 +36,8 @@ __all__ = [
 ]
 
 MAX_EXACT_ORDER = 400
-# fid at order 400 takes 1.3-1.6 s for a c of 128-bit numerator and
-# denominator in a fresh process on a 2-core container, 0.9 s of it in the
+# fid at order 400 takes 0.9-1.0 s for a c of 128-bit numerator and
+# denominator in a fresh process on a 2-core container, 0.66 s of it in the
 # cumulant recursion
 MAX_C_BITS = 128
 

@@ -11,18 +11,22 @@ on the inner-product table sigma[k][l] = <P_k, x^l>; its diagonal pivots are
 ratios of consecutive Hankel determinants, so the first nonpositive pivot
 locates the first nonpositive Hankel determinant exactly.  One online scan
 fills the table by anti-diagonal and stops at that pivot; when every odd
-moment is 0 it fills only the even anti-diagonals.  pivot_signs runs the
-same scan in outward-rounded decimal interval arithmetic when only the
-signs are wanted, and falls back to the exact scan when an interval cannot
-decide.
+moment is 0 it fills only the even anti-diagonals.  The scan takes its
+arithmetic from a record of four operations: jacobi_from_moments passes
+Fraction operators, and pivot_signs, when only the signs are wanted,
+outward-rounded decimal operations on (lo, hi) pairs at a precision sized
+from the cancellation the scan was measured to suffer; it falls back to the
+exact scan when an interval cannot decide.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from ..errors import BoundExceededError, InputError
 
@@ -170,7 +174,7 @@ def jacobi_from_moments(moments: Sequence, depth: Optional[int] = None) -> Jacob
     Stops at the first nonpositive diagonal pivot instead of raising.
     """
     values = [Fraction(x) for x in moments]
-    return _sigma_scan(values, depth, _sign, not any(values[1::2]))
+    return _sigma_scan(values, depth, _EXACT, not any(values[1::2]))
 
 
 @dataclass(frozen=True)
@@ -195,27 +199,21 @@ def pivot_signs(moments: Sequence, depth: int) -> PivotSigns:
     depth), each sign certified, never guessed.
 
     The moments are converted once to outward-rounded decimal intervals and
-    the same online sigma-table scan runs on them at 2 * depth + 20 digits
-    (about 6.6 bits per level); whether it fills only the even half is
+    the same online sigma-table scan runs on them, starting at the precision
+    of _start_precision(depth); whether it fills only the even half is
     decided on the exact moments.  A pivot's sign counts only when its
-    interval lies strictly on one side of 0 or is exactly [0, 0].  If some
-    pivot's interval straddles 0, the scan reruns at doubled precision, up
-    to _INTERVAL_DOUBLINGS times, and then falls back to the exact Fraction
-    scan.
+    interval lies strictly on one side of 0 or is exactly [0, 0], so a
+    precision too low for the input costs a rerun, never a wrong sign.  If
+    some pivot's interval straddles 0, the scan reruns at doubled precision,
+    up to _INTERVAL_DOUBLINGS times, and then falls back to the exact
+    Fraction scan.
     """
     exact = [Fraction(x) for x in moments]
     symmetric = not any(exact[1::2])
-    precision = 2 * depth + 20
+    precision = _start_precision(depth)
     for _ in range(_INTERVAL_DOUBLINGS + 1):
-        # private round-down and round-up contexts: the thread's decimal
-        # context is never touched, and the exponent range never binds
-        ctx = tuple(
-            Context(prec=precision, rounding=rounding, Emax=MAX_EMAX, Emin=MIN_EMIN)
-            for rounding in (ROUND_FLOOR, ROUND_CEILING)
-        )
         try:
-            intervals = [_Interval.exact(x, ctx) for x in exact]
-            fit = _sigma_scan(intervals, depth, _interval_sign, symmetric)
+            fit = _interval_scan(exact, depth, symmetric, precision)
         except _Undecided:
             precision *= 2
             continue
@@ -224,69 +222,108 @@ def pivot_signs(moments: Sequence, depth: int) -> PivotSigns:
     return PivotSigns(tuple(map(_sign, fit.pivots)), fit.breakdown_index, None)
 
 
-class _Interval:
-    """A closed interval [lo, hi] of Decimals.  Each operation rounds its
-    lower end down and its upper end up (decimal arithmetic is correctly
-    rounded), so the result contains every exact value it stands for."""
+def _start_precision(depth: int) -> int:
+    """Decimal digits for the first interval scan at this depth.
 
-    __slots__ = ("lo", "hi", "ctx")
+    The digits the scan loses to cancellation by level k, measured on the
+    shifted sequences of mu_c (within 3 digits of each other for every c
+    tried, from -99999/100000 to 3), are 17 / 59 / 76 / 146 / 184 / 244 /
+    307 / 350 at k = 20 / 50 / 60 / 100 / 120 / 150 / 180 / 200, about
+    0.75 k log10 k; 25 more digits leave about 20 at the fid budget edge,
+    depth 200.  Other input may lose more, which costs a rerun.
+    """
+    return int(0.75 * depth * math.log10(depth)) + 25 if depth > 1 else 25
 
-    def __init__(self, lo: Decimal, hi: Decimal, ctx: tuple[Context, Context]):
-        self.lo, self.hi, self.ctx = lo, hi, ctx
 
-    @classmethod
-    def exact(cls, x, ctx) -> "_Interval":
-        x = Fraction(x)
-        p, q = Decimal(x.numerator), Decimal(x.denominator)
-        return cls(ctx[0].divide(p, q), ctx[1].divide(p, q), ctx)
+class _Arithmetic(NamedTuple):
+    """The operations _sigma_scan applies to its values: submul(x, b, o) is
+    x - b*o, and sign maps a pivot to -1, 0 or 1."""
 
-    def _lift(self, other) -> "_Interval":
-        return other if isinstance(other, _Interval) else _Interval.exact(other, self.ctx)
-
-    def __sub__(self, other):
-        o, (down, up) = self._lift(other), self.ctx
-        return _Interval(down.subtract(self.lo, o.hi), up.subtract(self.hi, o.lo), self.ctx)
-
-    def __mul__(self, other):
-        o, (down, up) = self._lift(other), self.ctx
-        if self.lo >= 0 and o.lo >= 0:
-            return _Interval(down.multiply(self.lo, o.lo), up.multiply(self.hi, o.hi), self.ctx)
-        ends = [(x, y) for x in (self.lo, self.hi) for y in (o.lo, o.hi)]
-        lo = min(down.multiply(x, y) for x, y in ends)
-        hi = max(up.multiply(x, y) for x, y in ends)
-        return _Interval(lo, hi, self.ctx)
-
-    def __truediv__(self, other):
-        o, (down, up) = self._lift(other), self.ctx
-        if o.lo <= 0:
-            # the scan divides only by pivots already certified positive
-            raise ZeroDivisionError("interval divisor is not positive")
-        lo = down.divide(self.lo, o.hi if self.lo >= 0 else o.lo)
-        hi = up.divide(self.hi, o.lo if self.hi >= 0 else o.hi)
-        return _Interval(lo, hi, self.ctx)
+    submul: Callable
+    divide: Callable
+    subtract: Callable
+    sign: Callable
 
 
 class _Undecided(Exception):
     """An interval pivot contains 0 without being exactly [0, 0]."""
 
 
-def _interval_sign(x: _Interval) -> int:
-    if x.lo > 0:
+_ZERO = Decimal(0)
+
+
+def _interval_sign(x: tuple[Decimal, Decimal]) -> int:
+    """The sign of every value in the interval x = (lo, hi)."""
+    lo, hi = x
+    if lo > _ZERO:
         return 1
-    if x.hi < 0:
+    if hi < _ZERO:
         return -1
-    if x.lo == 0 and x.hi == 0:
+    if lo == _ZERO and hi == _ZERO:
         return 0
     raise _Undecided
+
+
+def _interval_scan(exact: list[Fraction], depth: int, symmetric: bool, precision: int) -> JacobiFit:
+    """_sigma_scan over closed intervals (lo, hi) of Decimals at `precision`
+    digits, each of which contains the exact value it stands for; raises
+    _Undecided at a pivot whose sign the interval cannot certify."""
+    # private round-down and round-up contexts: the thread's decimal context
+    # is never touched, and the exponent range never binds
+    down, up = (
+        Context(prec=precision, rounding=rounding, Emax=MAX_EMAX, Emin=MIN_EMIN)
+        for rounding in (ROUND_FLOOR, ROUND_CEILING)
+    )
+    values = []
+    for x in exact:
+        p, q = Decimal(x.numerator), Decimal(x.denominator)
+        values.append((down.divide(p, q), up.divide(p, q)))
+    return _sigma_scan(values, depth, _interval_arithmetic(down, up), symmetric)
+
+
+def _interval_arithmetic(down: Context, up: Context) -> _Arithmetic:
+    """Interval operations on (lo, hi) pairs of Decimals.  Each rounds its
+    lower end down in `down` and its upper end up in `up` (decimal arithmetic
+    is correctly rounded), so the result contains every exact value it
+    stands for."""
+    dmul, umul, dsub, usub = down.multiply, up.multiply, down.subtract, up.subtract
+
+    def submul(x, b, o):
+        (bl, bh), (ol, oh) = b, o
+        if bl >= _ZERO and ol >= _ZERO:  # every product in the fid scans
+            lo, hi = dmul(bl, ol), umul(bh, oh)
+        else:
+            ends = [(y, z) for y in b for z in o]
+            lo = min(dmul(y, z) for y, z in ends)
+            hi = max(umul(y, z) for y, z in ends)
+        return dsub(x[0], hi), usub(x[1], lo)
+
+    def divide(x, y):
+        (xl, xh), (yl, yh) = x, y
+        if yl <= _ZERO:
+            # the scan divides only by pivots already certified positive
+            raise ZeroDivisionError("interval divisor is not positive")
+        return (
+            down.divide(xl, yh if xl >= _ZERO else yl),
+            up.divide(xh, yl if xh >= _ZERO else yh),
+        )
+
+    def subtract(x, y):
+        return dsub(x[0], y[1]), usub(x[1], y[0])
+
+    return _Arithmetic(submul, divide, subtract, _interval_sign)
 
 
 def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sigma_scan(values: list, depth: Optional[int], sign, symmetric: bool) -> JacobiFit:
+_EXACT = _Arithmetic(lambda x, b, o: x - b * o, operator.truediv, operator.sub, _sign)
+
+
+def _sigma_scan(values: list, depth: Optional[int], arithmetic: _Arithmetic, symmetric: bool) -> JacobiFit:
     """The sigma-table recursion of jacobi_from_moments over `values`, in
-    whatever arithmetic they carry; `sign` maps a pivot to -1, 0 or 1.
+    the arithmetic of the record `arithmetic`.
     One online pass fills the table by anti-diagonal m = k + l, keeping only
     m - 1 and m - 2, and stops at the first nonpositive pivot.  `symmetric`
     (every odd moment is exactly 0) makes alpha and each sigma[k][l] with
@@ -299,13 +336,14 @@ def _sigma_scan(values: list, depth: Optional[int], sign, symmetric: bool) -> Ja
     if 2 * depth > top:
         raise BoundExceededError(f"depth {depth} needs {2 * depth + 1} moments, have {top + 1}")
 
+    submul, divide, subtract, sign = arithmetic
     pivots = [values[0]]
     alpha: list = []
     beta: list = []
     if (s := sign(values[0])) <= 0:
         return JacobiFit(alpha, beta, pivots, 0, s)
     if top >= 1:
-        alpha.append(values[1] / values[0])
+        alpha.append(divide(values[1], values[0]))
     # anti-diagonals m - 2 and m - 1, indexed by k: old[k] = sigma[k][m - 1 - k]
     older, old = [values[0]], values[1:2]
     for m in range(2, 2 * depth + 1):
@@ -316,15 +354,15 @@ def _sigma_scan(values: list, depth: Optional[int], sign, symmetric: bool) -> Ja
             continue
         diag = [values[m]]
         for j in range(1, k + 1):
-            x = diag[j - 1] if symmetric else diag[j - 1] - alpha[j - 1] * old[j - 1]
-            diag.append(x - beta[j - 2] * older[j - 2] if j > 1 else x)
+            x = diag[j - 1] if symmetric else submul(diag[j - 1], alpha[j - 1], old[j - 1])
+            diag.append(submul(x, beta[j - 2], older[j - 2]) if j > 1 else x)
         if m % 2:
-            alpha.append(diag[k] / pivots[k] - older[k - 1] / pivots[k - 1])
+            alpha.append(subtract(divide(diag[k], pivots[k]), divide(older[k - 1], pivots[k - 1])))
         else:
             pivots.append(diag[k])
             if (s := sign(diag[k])) <= 0:
                 return JacobiFit(alpha[: len(beta)], beta, pivots, k, s)
-            beta.append(diag[k] / pivots[k - 1])
+            beta.append(divide(diag[k], pivots[k - 1]))
         older, old = old, diag
     # drop the alpha entries beyond the computed beta depth
     return JacobiFit(alpha[: len(beta)], beta, pivots, None, None)

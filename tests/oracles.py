@@ -21,6 +21,9 @@ block-cached series kernel `_phi_pair` of `freeprob.transforms.analytic`,
 `cf_approximant` is one fixed-depth approximant of the continued fraction
 that `cf_eval` deepens until it settles, and `g_by_parabolic_cylinder` is G
 in closed form, which checks `G_eval`, `F_eval` and `cf_eval`.
+`full_width_sigma_scan` fills the sigma table of `jacobi_from_moments`
+row by row; on `Interval` values, decimal intervals that carry their own
+operators, it checks the certified scan of `pivot_signs`.
 `mu_by_last_factor` keeps the defining recursion of mu and nu, split at the
 last factor by `split_last_factor`, and checks the one stack walk over the
 prime factors that `freeprob.trees` unrolls it into.
@@ -28,6 +31,7 @@ prime factors that `freeprob.trees` unrolls it into.
 
 import math
 from collections import Counter
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -169,6 +173,96 @@ def hankel_sign_from_pivots(fit: JacobiFit, k: int) -> int:
     if k + 1 > len(fit.pivots):
         raise BoundExceededError(f"pivot table only covers k <= {len(fit.pivots) - 1}")
     return math.prod((pivot > 0) - (pivot < 0) for pivot in fit.pivots[: k + 1])
+
+
+class Interval:
+    """A closed interval [lo, hi] of Decimals with operators; it unpacks as
+    (lo, hi).  Each operation rounds its lower end down and its upper end up
+    (decimal arithmetic is correctly rounded), so the result contains every
+    exact value it stands for; a plain number operand is first enclosed at
+    the same precision."""
+
+    __slots__ = ("lo", "hi", "ctx")
+
+    def __init__(self, lo: Decimal, hi: Decimal, ctx: tuple[Context, Context]):
+        self.lo, self.hi, self.ctx = lo, hi, ctx
+
+    @classmethod
+    def exact(cls, x, precision: int) -> "Interval":
+        """The tightest interval around the rational x at `precision` digits."""
+        ctx = tuple(
+            Context(prec=precision, rounding=rounding, Emax=MAX_EMAX, Emin=MIN_EMIN)
+            for rounding in (ROUND_FLOOR, ROUND_CEILING)
+        )
+        return cls._enclose(x, ctx)
+
+    @classmethod
+    def _enclose(cls, x, ctx) -> "Interval":
+        x = Fraction(x)
+        p, q = Decimal(x.numerator), Decimal(x.denominator)
+        return cls(ctx[0].divide(p, q), ctx[1].divide(p, q), ctx)
+
+    def __iter__(self):
+        return iter((self.lo, self.hi))
+
+    def _lift(self, other) -> "Interval":
+        return other if isinstance(other, Interval) else Interval._enclose(other, self.ctx)
+
+    def __sub__(self, other):
+        o, (down, up) = self._lift(other), self.ctx
+        return Interval(down.subtract(self.lo, o.hi), up.subtract(self.hi, o.lo), self.ctx)
+
+    def __mul__(self, other):
+        o, (down, up) = self._lift(other), self.ctx
+        ends = [(x, y) for x in (self.lo, self.hi) for y in (o.lo, o.hi)]
+        lo = min(down.multiply(x, y) for x, y in ends)
+        hi = max(up.multiply(x, y) for x, y in ends)
+        return Interval(lo, hi, self.ctx)
+
+    def __truediv__(self, other):
+        o, (down, up) = self._lift(other), self.ctx
+        if o.lo <= 0:
+            raise ZeroDivisionError("interval divisor is not positive")
+        lo = down.divide(self.lo, o.hi if self.lo >= 0 else o.lo)
+        hi = up.divide(self.hi, o.lo if self.hi >= 0 else o.hi)
+        return Interval(lo, hi, self.ctx)
+
+
+def full_width_sigma_scan(values: list, depth, sign) -> JacobiFit:
+    """The sigma-table recursion row by row, each row k filled out to
+    l = top - k before its pivot is read, on values that carry their own
+    operators (Fractions or Intervals); `sign` maps a pivot to -1, 0 or 1."""
+    if not values:
+        raise ValueError("moment list is empty")
+    top = len(values) - 1
+    if depth is None:
+        depth = top // 2
+    if 2 * depth > top:
+        raise BoundExceededError(f"depth {depth} needs {2 * depth + 1} moments, have {top + 1}")
+
+    prev = list(values)  # sigma_0 row over l = 0..top
+    prev2: list = [0] * (top + 1)  # sigma_{-1} = 0
+    pivots = [values[0]]
+    alpha: list = []
+    beta: list = []
+    if (s := sign(values[0])) <= 0:
+        return JacobiFit(alpha, beta, pivots, 0, s)
+    if top >= 1:
+        alpha.append(values[1] / values[0])
+    for k in range(1, depth + 1):
+        a, b = alpha[k - 1], beta[k - 2] if k >= 2 else 0
+        # entries below l = k are never read again
+        row = [None] * k + [prev[l + 1] - a * prev[l] - b * prev2[l] for l in range(k, top - k + 1)]
+        pivot = row[k]
+        pivots.append(pivot)
+        if (s := sign(pivot)) <= 0:
+            return JacobiFit(alpha[: len(beta)], beta, pivots, k, s)
+        beta.append(pivot / pivots[k - 1])
+        if k <= (top - 1) // 2 and k < depth:
+            alpha.append(row[k + 1] / pivot - prev[k] / pivots[k - 1])
+        prev2, prev = prev, row
+    # drop the seed alpha entries beyond the computed beta depth
+    return JacobiFit(alpha[: len(beta)], beta, pivots, None, None)
 
 
 def block_index(p) -> dict[int, int]:

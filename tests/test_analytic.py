@@ -111,6 +111,18 @@ def test_riccati_refuses_a_step_that_leaves_z_unchanged(z, step, dps):
         riccati_residual(F(1, 2), z, step=step, dps=dps)
 
 
+@pytest.mark.parametrize(
+    "z, step, dps",
+    [(1 + 1j, 1.2e-16, None), (1 + 1j, -3e-16, None), (8 + 1j, 1e-13, 30), (1e6 + 1j, 1e-9, None)],
+)
+def test_riccati_refuses_a_step_below_the_float_spacing(z, step, dps):
+    # z + step and z - step round to points 2 * step (1 + r) apart with r up
+    # to 0.39 here, so a quotient over 2 * step would be off by as much
+    assert z + step != z != z - step
+    with pytest.raises(InputError, match="too fine"):
+        riccati_residual(F(1, 2), z, step=step, dps=dps)
+
+
 def _no_evaluation(*args, **kwargs):
     raise AssertionError("evaluated before the argument check")
 
@@ -145,6 +157,14 @@ def test_phi_refuses_an_infinite_tol(monkeypatch):
     monkeypatch.setattr(analytic, "F_eval", _no_evaluation)
     with pytest.raises(InputError, match="tol must be finite"):
         voiculescu_phi(F(-1, 2), 0.3 + 1j, tol=math.inf)
+
+
+@pytest.mark.parametrize("z, tol", [(1 - 1j, 1e-11), (2 + 0j, 1e-11), (1 + 1j, -1), (1 + 1j, math.inf)])
+def test_phi_at_the_point_mass_checks_z_and_tol(z, tol):
+    # phi is 0 at c = -1, but only on the upper half-plane and for a usable tol
+    with pytest.raises(InputError):
+        voiculescu_phi(-1, z, tol=tol)
+    assert voiculescu_phi(-1, 1 + 1j) == 0
 
 
 @pytest.mark.parametrize("dps", [None, 30])

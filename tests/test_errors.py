@@ -137,6 +137,10 @@ HOSTILE = {
         "transform", "--op", "riccati", "--grid=1e300:1e300:1,1e300:1e300:1", "--c", "0",
         "--step", "1e290",
     ],
+    "riccati-step-below-spacing": [
+        "transform", "--c", "1/2", "--op", "riccati", "--step", "1.2e-16", "--grid", "1:1:1,1:1:1"
+    ],
+    "phi-lower-half-plane-point-mass": ["transform", "--c=-1", "--op", "phi", "--grid=1:1:1,-1:-1:1"],
     "riccati-inf-at-the-pole": [
         "transform", "--c=-1", "--op", "riccati", "--grid=0:0:1,1e-300:1e-300:1", "--format", "csv"
     ],

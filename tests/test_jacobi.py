@@ -1,4 +1,3 @@
-import decimal
 import math
 from fractions import Fraction as F
 
@@ -7,7 +6,6 @@ import pytest
 from freeprob.cumulants import free_from_moments, gaussian_shifted_sequence, moments_from_free
 from freeprob.errors import BoundExceededError
 from freeprob.transforms import (
-    JacobiFit,
     JacobiParams,
     jacobi_from_moments,
     moments_from_jacobi,
@@ -16,7 +14,7 @@ from freeprob.transforms import (
     shifted_sequence_of_mu_c,
 )
 from freeprob.transforms import jacobi
-from oracles import hankel_sign, hankel_sign_from_pivots
+from oracles import Interval, full_width_sigma_scan, hankel_sign, hankel_sign_from_pivots
 
 
 def gauss_moments(n):
@@ -218,40 +216,24 @@ def test_pivot_signs_leave_global_precision_alone():
     assert state() == before
 
 
-def full_width_sigma_scan(values: list, depth, sign) -> JacobiFit:
-    """Oracle: the sigma-table recursion row by row, each row k filled out to
-    l = top - k before its pivot is read."""
-    if not values:
-        raise ValueError("moment list is empty")
-    top = len(values) - 1
-    if depth is None:
-        depth = top // 2
-    if 2 * depth > top:
-        raise BoundExceededError(f"depth {depth} needs {2 * depth + 1} moments, have {top + 1}")
-
-    prev = list(values)  # sigma_0 row over l = 0..top
-    prev2: list = [0] * (top + 1)  # sigma_{-1} = 0
-    pivots = [values[0]]
-    alpha: list = []
-    beta: list = []
-    if (s := sign(values[0])) <= 0:
-        return JacobiFit(alpha, beta, pivots, 0, s)
-    if top >= 1:
-        alpha.append(values[1] / values[0])
-    for k in range(1, depth + 1):
-        a, b = alpha[k - 1], beta[k - 2] if k >= 2 else 0
-        # entries below l = k are never read again
-        row = [None] * k + [prev[l + 1] - a * prev[l] - b * prev2[l] for l in range(k, top - k + 1)]
-        pivot = row[k]
-        pivots.append(pivot)
-        if (s := sign(pivot)) <= 0:
-            return JacobiFit(alpha[: len(beta)], beta, pivots, k, s)
-        beta.append(pivot / pivots[k - 1])
-        if k <= (top - 1) // 2 and k < depth:
-            alpha.append(row[k + 1] / pivot - prev[k] / pivots[k - 1])
-        prev2, prev = prev, row
-    # drop the seed alpha entries beyond the computed beta depth
-    return JacobiFit(alpha[: len(beta)], beta, pivots, None, None)
+def test_interval_operations_match_the_oracle_interval():
+    # every sign pattern: negative, touching 0, straddling 0, exactly [0, 0],
+    # positive, and degenerate; the ends have no finite decimal expansion
+    points = [F(-5, 3), F(-1, 7), F(0), F(2, 9), F(7, 3)]
+    ctx = Interval.exact(0, 30).ctx
+    intervals = [
+        Interval(Interval.exact(a, 30).lo, Interval.exact(b, 30).hi, ctx)
+        for i, a in enumerate(points)
+        for b in points[i:]
+    ]
+    arithmetic = jacobi._interval_arithmetic(*ctx)
+    for x in intervals:
+        for b in intervals:
+            assert arithmetic.subtract(tuple(x), tuple(b)) == tuple(x - b)
+            if b.lo > 0:
+                assert arithmetic.divide(tuple(x), tuple(b)) == tuple(x / b)
+            for o in intervals:
+                assert arithmetic.submul(tuple(x), tuple(b), tuple(o)) == tuple(x - b * o)
 
 
 def _oracle_sequences():
@@ -322,32 +304,27 @@ def test_online_scan_matches_full_width_oracle(monkeypatch):
         breakdowns.add(fit.breakdown_index)
     assert {None, 0, 1} <= breakdowns and len(breakdowns) > 5
 
-    # the interval tables agree endpoint for endpoint (a zero endpoint may
-    # differ in the sign of the zero); an undecided pivot is undecided in both
+    # at the start precision the interval tables agree endpoint for endpoint
+    # (a zero endpoint may differ in the sign of the zero); an undecided
+    # pivot is undecided in both
+    def oracle_scan(exact, depth, symmetric, precision):
+        return full_width_sigma_scan([Interval.exact(x, precision) for x in exact], depth, jacobi._interval_sign)
+
     for m, depth in cases:
-        ctx = tuple(
-            decimal.Context(prec=2 * depth + 20, rounding=r, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-            for r in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING)
-        )
-        intervals = [jacobi._Interval.exact(x, ctx) for x in m]
+        exact, precision = [F(x) for x in m], jacobi._start_precision(depth)
         fits = []
-        for scan in (
-            lambda: jacobi._sigma_scan(intervals, depth, jacobi._interval_sign, not any(m[1::2])),
-            lambda: full_width_sigma_scan(intervals, depth, jacobi._interval_sign),
-        ):
+        for scan in (jacobi._interval_scan, oracle_scan):
             try:
-                fit = scan()
+                fit = scan(exact, depth, not any(exact[1::2]), precision)
             except jacobi._Undecided:
                 fits.append(None)
                 continue
-            ends = [[(x.lo, x.hi) for x in xs] for xs in (fit.alpha, fit.beta, fit.pivots)]
+            ends = [[tuple(x) for x in xs] for xs in (fit.alpha, fit.beta, fit.pivots)]
             fits.append((ends, fit.breakdown_index, fit.breakdown_sign))
         assert fits[0] == fits[1]
 
     got = [pivot_signs(m, depth) for m, depth in cases]
-    monkeypatch.setattr(
-        jacobi, "_sigma_scan", lambda values, depth, sign, symmetric: full_width_sigma_scan(values, depth, sign)
-    )
+    monkeypatch.setattr(jacobi, "_interval_scan", oracle_scan)
     want = [pivot_signs(m, depth) for m, depth in cases]
     assert [(p.signs, p.breakdown_index, p.precision) for p in got] == [
         (p.signs, p.breakdown_index, p.precision) for p in want
@@ -355,3 +332,28 @@ def test_online_scan_matches_full_width_oracle(monkeypatch):
     # both exact [0, 0] interval pivots and the exact fallback occur
     assert got[0].precision is not None and got[1].precision is None
     assert any(p.precision is None for p in got[2:])
+
+
+# the c values of the benchmark's and the golden corpus's fid runs
+FID_C = ["9/10", "1", "3/2", "2", "3", "0", "-1/2", "-3/4", "-1", "1/2", "-1/4", "1/4", "3/5", "3/4"]
+
+
+@pytest.mark.parametrize("c", FID_C)
+def test_pivot_signs_need_no_rerun_at_the_start_precision(c):
+    s = shifted_sequence_of_mu_c(F(c), 400)
+    for order in (120, 200, 400):
+        depth = order // 2
+        assert pivot_signs(s[: order + 1], depth).precision == jacobi._start_precision(depth)
+
+
+@pytest.mark.parametrize("start, certified", [(100, 200), (10, None)])
+def test_pivot_signs_rerun_from_a_too_low_start_precision(monkeypatch, start, certified):
+    # c = 9/10 loses about 140 digits by its breakdown at k = 97: 100 digits
+    # certify after one doubling, and 10, 20 and 40 leave it to the exact scan
+    s = shifted_sequence_of_mu_c(F(9, 10), 200)
+    want = pivot_signs(s, 100)
+    monkeypatch.setattr(jacobi, "_start_precision", lambda depth: start)
+    scan = pivot_signs(s, 100)
+    assert scan.precision == certified
+    assert (scan.signs, scan.breakdown_index) == (want.signs, want.breakdown_index)
+    assert scan.breakdown_index == 97

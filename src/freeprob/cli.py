@@ -75,6 +75,10 @@ def _finite(text: str) -> float:
 # took 28 s) and up to 1.2 s at --dps 30 (25 points took 25-26 s), so the
 # largest admitted grid takes about 30 s (2-core machine).  --dps is held at
 # 30, where that was measured (a phi point costs 2 s at --dps 120), and >= 1.
+# Far from the origin a --dps 30 phi point costs more: c = 2, z = -8 + 3i
+# took 1.1-1.2 s and c = 1, z = -8 + 16i 0.2-0.3 s (in-process, one point at
+# a time), and the 25-point grids x in -9..-7 by y in 2..4 and in 15..17
+# around them took 17.6 s and 4.3 s.
 MAX_GRID_POINTS = 400
 MAX_GRID_POINTS_DPS = 25
 MAX_DPS = 30

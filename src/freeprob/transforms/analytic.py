@@ -20,6 +20,19 @@ evaluation tracks its own cancellation ratio and G_eval falls back to the
 continued fraction (or demands extended precision) when too many digits are
 lost.  Default precision is binary64; pass the keyword dps = N to run every
 step of one public call on a private mpmath context at N digits.
+
+Where the continued fraction applies on or above the real axis, the series
+gives up as soon as its own bound rules it out.  There, for c > -1, the
+physical branch has phi(0) = 1, phi' = rho phi_{c+1} with |phi_{c+1}| <= 1
+(an integral of t^c exp(izt - t^2/2) over t > 0, normalised), so
+|phi'| <= |rho| and |phi| <= 1 + |rho| |z|; F's cancellation ratio
+mix_scale / |phi'| is thus at least scale, and G's mix_scale / |phi| at
+least scale / (1 + |rho| |z|).  A sum whose running scale passes
+_GIVE_UP_MARGIN times the trust threshold times 1 + |rho| |z| could end in
+no trusted value, so it stops and hands over to the continued fraction,
+as the full sum would.  Only where the full sum could not settle in
+SERIES_MAX_TERMS terms (|z| past about 630, at a dps only) would it raise
+where the continued fraction answers instead.
 """
 
 from __future__ import annotations
@@ -187,14 +200,18 @@ def _series_block(c, dps: Optional[int], start: int) -> tuple:
     )
 
 
-def _phi_pair(c, z, dps: Optional[int] = None):
+def _phi_pair(c, z, dps: Optional[int] = None, limit: float = math.inf):
     """(phi_e, phi_e', phi_o, phi_o', scale) for the even/odd solutions of
     phi'' + z phi' + c phi = 0 with phi_e(0) = 1, phi_o'(0) = 1.
 
     `scale` is the largest accumulator/term magnitude met while summing; the
     achieved accuracy is roughly eps * scale in absolute terms.  A sum that
     stops being finite never settles and can never be trusted: it is returned
-    at the end of its block with scale inf, which every caller refuses.
+    at the end of its block with scale inf, which every caller refuses.  So
+    is a sum whose running scale passes `limit`, at once: `_routed` sets the
+    limit where the bounds |phi'| <= |rho| and |phi| <= 1 + |rho| |z| (see
+    the module docstring) show that the final scale, never smaller, leaves
+    neither F's nor G's cancellation ratio trusted.
     """
     ctx = _mp(dps)
     w = _lift(z, ctx)
@@ -202,6 +219,7 @@ def _phi_pair(c, z, dps: Optional[int] = None):
     if abs(w) == 0:
         return one, 0 * w, 0 * w, one, 1.0
     eps = 10.0 ** (-(_digits(dps) + 3))
+    limit = _real(limit, ctx)
     w2 = w * w
     even_term = one  # e_k z^{2k}
     odd_term = w  # o_k z^{2k+1}
@@ -212,6 +230,8 @@ def _phi_pair(c, z, dps: Optional[int] = None):
     quiet = 0
     for start in range(0, SERIES_MAX_TERMS, SERIES_BLOCK):
         for even_ratio, odd_ratio, even_power, odd_power, k in _series_block(c, dps, start):
+            if scale > limit:
+                return pe, dpe, po, dpo, math.inf
             even_term = even_term * w2 * even_ratio
             odd_term = odd_term * w2 * odd_ratio
             pe += even_term
@@ -250,7 +270,13 @@ def _phi_mixture_ratio(c: Fraction, dps: Optional[int]):
     g0 = cf_eval(c, z0, tol=10.0 ** (-(_digits(dps) - 1)), dps=dps)
     pe, dpe, po, dpo, _ = _phi_pair(c, z0, dps=dps)
     cval = _real(c, ctx)
-    return -(dpe + cval * g0 * pe) / (dpo + cval * g0 * po)
+    denominator = dpo + cval * g0 * po
+    if denominator == 0:
+        raise PrecisionError(
+            f"the z = 10i calibration of the series branch at c = {c} lost every "
+            "digit; retry with a higher dps"
+        )
+    return -(dpe + cval * g0 * pe) / denominator
 
 
 def _gauss_G(z, dps: Optional[int] = None):
@@ -293,6 +319,12 @@ def _gauss_G(z, dps: Optional[int] = None):
 # the real axis, where ~10 digits of G still beat having no value at all)
 _SERIES_PREF_DIGITS = 13.0
 _SERIES_FLOOR_DIGITS = 10.0
+# a series gives up once its running scale passes this many times the
+# largest trusted ratio, times 1 + |rho| |z|; the factor leaves room for
+# rounding, since the ratios could return under the bound only if rounding
+# moved phi or phi' by 3/4 of scale / 10^(digits - 13), far beyond the
+# error of a sum accurate to about eps * scale
+_GIVE_UP_MARGIN = 4.0
 
 
 def _cf_applies(w) -> bool:
@@ -332,7 +364,10 @@ def _routed(c: Fraction, z, dps: Optional[int], reciprocal: bool):
     ratio is trusted; for c != 0 its only singularities are the zeros of
     phi, so a huge trusted value is a genuine pole (c = 0 has none: its
     continuation merely grows below the axis).  Otherwise the continued
-    fraction serves where it applies, and nothing does elsewhere."""
+    fraction serves where it applies, and nothing does elsewhere.  rho is
+    read before the sum, so that where the continued fraction applies on or
+    above the axis the sum can give up once it can no longer be trusted
+    (the module docstring has the bound); elsewhere it runs in full."""
     ctx = _mp(dps)
     w = _lift(z, ctx)
     if c == -1:
@@ -346,8 +381,14 @@ def _routed(c: Fraction, z, dps: Optional[int], reciprocal: bool):
         if c == 0:
             value, cancel = _gauss_G(w, dps=dps)
         else:
-            pe, dpe, po, dpo, scale = _phi_pair(c, w, dps=dps)
             rho = _phi_mixture_ratio(c, dps)
+            limit = math.inf
+            if _im(w) >= 0 and _cf_applies(w):
+                limit = (
+                    _GIVE_UP_MARGIN * 10.0 ** (_digits(dps) - _SERIES_PREF_DIGITS)
+                    * (1 + float(abs(rho)) * float(abs(w)))
+                )
+            pe, dpe, po, dpo, scale = _phi_pair(c, w, dps, limit)
             phi = pe + rho * po
             dphi = dpe + rho * dpo
             # bounds the magnitudes summed, so it measures cancellation
@@ -404,11 +445,15 @@ def riccati_residual(c, z, step: float = 1e-5, *, dps: Optional[int] = None) -> 
             f"difference step {step} is too fine at z = {z}: z + step and z - step "
             f"are {spacing.real} apart, not {2 * h}"
         )
-    gp = (G_eval(c, z + h, dps=dps) - G_eval(c, z - h, dps=dps)) / (2 * h)
-    g = G_eval(c, z, dps=dps)
+    gp = (
+        _routed(c, z + h, dps, reciprocal=False) - _routed(c, z - h, dps, reciprocal=False)
+    ) / (2 * h)
+    g = _routed(c, z, dps, reciprocal=False)
     g_res = abs(gp - (float(c) * g * g - z * g + 1))
-    fp = (F_eval(c, z + h, dps=dps) - F_eval(c, z - h, dps=dps)) / (2 * h)
-    f = F_eval(c, z, dps=dps)
+    fp = (
+        _routed(c, z + h, dps, reciprocal=True) - _routed(c, z - h, dps, reciprocal=True)
+    ) / (2 * h)
+    f = _routed(c, z, dps, reciprocal=True)
     f_res = abs(fp - (-f * f + z * f - float(c)))
     return RiccatiResiduals(float(g_res), float(f_res))
 
@@ -425,7 +470,7 @@ def decomposition_residual(c, z, *, dps: Optional[int] = None) -> float:
         series, _ = _gauss_G(z, dps=dps)
         return float(abs(cf_eval(0, z, dps=dps) - series))
     lhs = cf_eval(c + 1, z, dps=dps)
-    rhs = (z - F_eval(c, z, dps=dps)) / (float(c) + 1)
+    rhs = (z - _routed(c, z, dps, reciprocal=True)) / (float(c) + 1)
     return float(abs(lhs - rhs))
 
 
@@ -449,9 +494,10 @@ def density_eval(c, u: float, eps: float = 1e-6, richardson: bool = False, *,
     """
     if not eps > 0:
         raise InputError("eps must be positive")
+    c = mu_c_parameter(c, binary64=True)
 
     def one(e: float) -> float:
-        return -float(G_eval(c, complex(u, e), dps=dps).imag) / math.pi
+        return -float(_routed(c, complex(u, e), dps, reciprocal=False).imag) / math.pi
 
     if not richardson:
         return one(eps)
@@ -485,7 +531,7 @@ def voiculescu_phi(c, z, tol: float = 1e-11, *, dps: Optional[int] = None):
     w = targets[0]  # F(w) ~ w high up
     # F depends on w alone, so fw = F(w) is carried from stage to stage and
     # from each accepted trial: F is evaluated once per point visited
-    fw = F_eval(c, w, dps=dps)
+    fw = _routed(c, w, dps, reciprocal=True)
     for target in targets:
         converged = False
         for _ in range(100):
@@ -500,7 +546,7 @@ def voiculescu_phi(c, z, tol: float = 1e-11, *, dps: Optional[int] = None):
             step_scale = 1.0
             for _ in range(50):
                 trial = w - step_scale * full
-                f_trial = F_eval(c, trial, dps=dps)
+                f_trial = _routed(c, trial, dps, reciprocal=True)
                 if abs(f_trial - target) < residual:
                     w, fw = trial, f_trial
                     break

@@ -131,14 +131,14 @@ def _no_evaluation(*args, **kwargs):
 def test_riccati_refuses_a_step_that_is_not_finite(monkeypatch, step):
     # z + nan is no point, and z + inf sends the continued fraction to its
     # depth bound
-    monkeypatch.setattr(analytic, "G_eval", _no_evaluation)
+    monkeypatch.setattr(analytic, "_routed", _no_evaluation)
     with pytest.raises(InputError, match="not finite"):
         riccati_residual(F(1, 2), 1 + 1j, step=step)
 
 
 def test_phi_refuses_a_nan_tol(monkeypatch):
     # no residual is within a NaN tol, so no stage could converge
-    monkeypatch.setattr(analytic, "F_eval", _no_evaluation)
+    monkeypatch.setattr(analytic, "_routed", _no_evaluation)
     with pytest.raises(InputError, match="tol must be nonnegative"):
         voiculescu_phi(F(1, 2), 0.5 + 1j, tol=math.nan)
 
@@ -154,7 +154,7 @@ def test_cf_refuses_a_negative_tol(dps):
 def test_phi_refuses_an_infinite_tol(monkeypatch):
     # every residual is within an infinite tol, so the continuation would
     # have no stage and phi would read 0
-    monkeypatch.setattr(analytic, "F_eval", _no_evaluation)
+    monkeypatch.setattr(analytic, "_routed", _no_evaluation)
     with pytest.raises(InputError, match="tol must be finite"):
         voiculescu_phi(F(-1, 2), 0.3 + 1j, tol=math.inf)
 
@@ -331,7 +331,14 @@ def test_voiculescu_evaluates_f_once_per_point(monkeypatch):
     # F depends on the point alone: a stage's start and an accepted trial
     # reuse the value already computed there
     points = []
-    _counting(monkeypatch, "F_eval", points)
+    routed = analytic._routed
+
+    def counted(c, z, dps, reciprocal):
+        if reciprocal:
+            points.append((c, z))
+        return routed(c, z, dps, reciprocal)
+
+    monkeypatch.setattr(analytic, "_routed", counted)
     for c in (F(-1, 2), F(1, 2), F(0)):
         for z in (0.3 + 1j, -1 + 0.5j, 2 + 0.2j):
             voiculescu_phi(c, z)
@@ -484,7 +491,7 @@ def test_dps_calls_leave_the_global_precision_alone(monkeypatch):
     # each dps call computes on a private context: the evaluators it reaches
     # see mpmath's global precision as the caller left it
     seen = []
-    for name in ("cf_eval", "G_eval", "F_eval"):
+    for name in ("cf_eval", "G_eval", "F_eval", "_routed"):
         inner = getattr(analytic, name)
 
         def spy(*args, inner=inner, **kwargs):

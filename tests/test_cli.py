@@ -382,6 +382,22 @@ def test_arithmetic_error_exit_one(capsys, argv):
     assert error["type"] and error["message"]
 
 
+@pytest.mark.parametrize("op", ["g", "phi"])
+def test_calibration_without_digits_exit_one(capsys, op):
+    # at one digit the z = 10i calibration of the c = -999/1000 series
+    # divides by an mpmath zero (G needs two digits there)
+    argv = ["transform", "--c=-999/1000", "--grid=0:1:2,1:2:2", "--op", op]
+    code, out, err = run(capsys, *argv, "--dps", "1")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "message": "the z = 10i calibration of the series branch at c = -999/1000 "
+        "lost every digit; retry with a higher dps",
+        "type": "PrecisionError",
+    }
+    if op == "g":
+        assert run(capsys, *argv, "--dps", "2")[0] == 0
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [
